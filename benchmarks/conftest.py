@@ -111,6 +111,7 @@ def write_bench_report(
     timings: dict | None = None,
     counters: dict | None = None,
     tracing: dict | None = None,
+    resources: dict | None = None,
 ) -> dict:
     """Write the ``BENCH_<fig>.json`` run report of one figure benchmark.
 
@@ -119,7 +120,9 @@ def write_bench_report(
     tooling can track the trajectory of every point, not only the
     headline MLUP/s.  *tracing* (a RunReport ``"tracing"`` section, e.g.
     lifted from a traced anchor run) rides along so span-derived numbers
-    like the fig8 overlap efficiency enter the perf history too.
+    like the fig8 overlap efficiency enter the perf history too;
+    *resources* (a RunReport ``"resources"`` section) stamps the core
+    budget the numbers were measured with.
     """
     report = build_run_report(
         run_id=f"bench-{fig}",
@@ -133,6 +136,7 @@ def write_bench_report(
         counters=counters,
         series=series,
         tracing_stats=tracing,
+        resources=resources,
     )
     write_run_report(results_dir / f"BENCH_{fig}.json", report)
     return report

@@ -90,6 +90,7 @@ def test_fig8_model_and_report(benchmark, results_dir, tmp_path):
         timings=res.timing,
         counters=res.counters,
         tracing=tracing,
+        resources=res.resources,
         series={
             "model_ms": {
                 f"ov_phi={op} ov_mu={om}": [

@@ -22,6 +22,14 @@ Compilation policy
 * ``-fopenmp`` is attempted first and dropped if the toolchain lacks it;
   the library records which variant is loaded (:func:`num_threads`).
 
+Team size: each simulated rank gets a share of the cores
+(:mod:`repro.simmpi.cores`); the share recorded for the calling rank
+thread is applied through ``repro_set_num_threads`` at its first kernel
+call.  The first call that runs with a team of more than one thread sets
+:func:`parallel_started` — a process-wide flag that forked children
+inherit, so a process rank forked afterwards is capped at one thread
+instead of hanging in libgomp's stale pool.
+
 Parallel safety: every temporary lives on the per-thread stack inside
 the OpenMP loop; the kernels never touch ``KernelContext.get_scratch``.
 """
@@ -36,11 +44,14 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.simmpi.cores import take_pending_threads
+
 __all__ = [
     "available",
     "load",
     "build_error",
     "num_threads",
+    "parallel_started",
     "phi_step_raw",
     "mu_step_raw",
 ]
@@ -60,6 +71,7 @@ void repro_mu_step(
     const double *diff, int anti_trapping, int shortcuts,
     int include_at, int only_at);
 int repro_num_threads(void);
+void repro_set_num_threads(int n);
 """
 
 # C transcription of loops.py (kept in the same order, term by term, so
@@ -85,6 +97,15 @@ int repro_num_threads(void)
     return omp_get_max_threads();
 #else
     return 1;
+#endif
+}
+
+void repro_set_num_threads(int n)
+{
+#ifdef _OPENMP
+    omp_set_num_threads(n);
+#else
+    (void)n;
 #endif
 }
 
@@ -638,6 +659,7 @@ _lib = None
 _ffi = None
 _build_error: str | None = None
 _loaded = False
+_parallel_started = False
 
 
 def _cache_dir() -> Path:
@@ -733,10 +755,41 @@ def build_error() -> str | None:
     return _build_error
 
 
+def _apply_budget(lib):
+    """Apply the calling rank thread's pending core budget to *lib*."""
+    want = take_pending_threads()
+    if want is not None:
+        lib.repro_set_num_threads(want)
+    return lib
+
+
 def num_threads() -> int:
-    """OpenMP thread count of the loaded library (1 = serial build)."""
+    """OpenMP team size of the calling thread (1 = serial build).
+
+    Inside a rank this is the team the rank's kernels run with.
+    """
     lib = load()
-    return int(lib.repro_num_threads()) if lib is not None else 0
+    if lib is None:
+        return 0
+    return int(_apply_budget(lib).repro_num_threads())
+
+
+def parallel_started() -> bool:
+    """True once a kernel ran with a team of more than one thread here.
+
+    Process-wide and inherited by ``fork``: libgomp's thread pool does
+    not survive into a forked child (see :mod:`repro.simmpi.cores`).
+    """
+    return _parallel_started
+
+
+def _team_lib():
+    """The library, budgeted for the calling thread, before a kernel call."""
+    global _parallel_started
+    lib = _apply_budget(load())
+    if not _parallel_started and lib.repro_num_threads() > 1:
+        _parallel_started = True
+    return lib
 
 
 def _ptr(arr: np.ndarray, ctype: str = "const double *"):
@@ -746,7 +799,7 @@ def _ptr(arr: np.ndarray, ctype: str = "const double *"):
 def phi_step_raw(phi, mu, tg, out, geom, scal, gamma, tau, inv_curv,
                  c_eq, c_slope, latent, diff, shortcuts):
     """Flat-array phi sweep (same signature as ``loops.phi_cellwise``)."""
-    lib = load()
+    lib = _team_lib()
     lib.repro_phi_step(
         _ptr(phi), _ptr(mu), _ptr(tg), _ptr(out, "double *"),
         _ptr(geom, "const long long *"), _ptr(scal),
@@ -760,7 +813,7 @@ def mu_step_raw(mu, phi_src, phi_dst, t_old, t_new, out, geom, scal,
                 inv_curv, c_eq, c_slope, diff,
                 anti_trapping, shortcuts, include_at, only_at):
     """Flat-array mu sweep (same signature as ``loops.mu_cellwise``)."""
-    lib = load()
+    lib = _team_lib()
     lib.repro_mu_step(
         _ptr(mu), _ptr(phi_src), _ptr(phi_dst), _ptr(t_old), _ptr(t_new),
         _ptr(out, "double *"), _ptr(geom, "const long long *"), _ptr(scal),

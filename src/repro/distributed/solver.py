@@ -43,6 +43,7 @@ from repro.grid.balance import assign_blocks
 from repro.grid.blockforest import BlockForest
 from repro.grid.boundary import BoundarySpec, Dirichlet, Neumann
 from repro.grid.field import Field
+from repro.simmpi.cores import rank_resources
 from repro.simmpi.runtime import run_spmd
 from repro.thermo.system import TernaryEutecticSystem
 
@@ -74,7 +75,9 @@ class DistributedResult:
     tracing on (``REPRO_TRACE=1`` or ``RunTelemetry(trace=True)``),
     *spans* holds the per-rank span timeline gathered to rank 0 and
     *trace_path* the exported Chrome trace-event JSON (``None`` when the
-    telemetry session has no directory).
+    telemetry session has no directory).  *resources* is the run's core
+    budget, with or without telemetry: cores, ranks, threads per rank,
+    their source and how many ranks the fork guard capped.
     """
 
     phi: np.ndarray
@@ -85,6 +88,24 @@ class DistributedResult:
     report: dict | None = None
     spans: list | None = None
     trace_path: object = None
+    resources: dict | None = None
+
+
+def _merge_resources(stamps: list[dict]) -> dict:
+    """Run-level resource stamp from the ranks' stamps.
+
+    ``cores``, ``ranks``, ``threads_per_rank`` (the widest rank team)
+    and ``thread_source`` — see :mod:`repro.simmpi.cores` — plus
+    ``fork_capped``, the number of ranks the OpenMP fork guard capped
+    at one thread.
+    """
+    return {
+        "cores": stamps[0]["cores"],
+        "ranks": stamps[0]["ranks"],
+        "threads_per_rank": max(s["threads_per_rank"] for s in stamps),
+        "thread_source": stamps[0]["thread_source"],
+        "fork_capped": sum(1 for s in stamps if s["fork_capped"]),
+    }
 
 
 class DistributedSimulation:
@@ -306,7 +327,10 @@ class DistributedSimulation:
                 sl = (slice(None),) + self._block_slices(block)
                 phi[sl] = phi_loc
                 mu[sl] = mu_loc
-        result = DistributedResult(phi=phi, mu=mu, stats=stats)
+        result = DistributedResult(
+            phi=phi, mu=mu, stats=stats,
+            resources=_merge_resources([e["resources"] for e in extras]),
+        )
         if telemetry is not None:
             self._finalize_telemetry(
                 result, telemetry, extras, steps=steps, wall=wall,
@@ -398,6 +422,7 @@ class DistributedSimulation:
             event_stats={"count": event_count, "path": event_path},
             fault_stats=fault_stats,
             tracing_stats=tracing_stats,
+            resources=result.resources,
         )
         result.report = report
         path = telemetry.report_path()
@@ -809,7 +834,7 @@ class DistributedSimulation:
             )
             for b in owned
         }
-        extra = None
+        extra = {"resources": rank_resources()}
         if tree is not None:
             from repro.telemetry.reduce import reduce_tree_over_ranks
 
@@ -856,12 +881,12 @@ class DistributedSimulation:
                         s for rank_spans, _ in gathered for s in rank_spans
                     ]
                     trace_stats = [st for _, st in gathered]
-            extra = {
+            extra.update({
                 "tree": merged,
                 "tree_local": tree.to_dict(),
                 "counters": registry.snapshot(),
                 "event_count": event_count,
                 "spans": spans_gathered,
                 "trace_stats": trace_stats,
-            }
+            })
         return out, stats, extra

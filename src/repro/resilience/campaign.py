@@ -61,6 +61,9 @@ class CampaignResult:
     final_ranks: int | None = None
     io_retries: int = 0
     checkpoints_skipped: int = 0
+    #: Core budget of the last completed chunk's world
+    #: (:attr:`repro.distributed.solver.DistributedResult.resources`).
+    resources: dict | None = None
 
 
 def _lost_ranks(exc) -> list[int]:
@@ -131,6 +134,7 @@ def run_campaign(
     shrinks = 0
     hangs_detected = 0
     restart_reasons: list[str] = []
+    resources = None
 
     events = None
     timing_total: dict | None = None
@@ -272,6 +276,7 @@ def run_campaign(
                 )
             continue
         phi, mu = res.phi, res.mu
+        resources = res.resources
         time_now += chunk * dsim.params.dt
         step_now += chunk
         if telemetry is not None and res.timing is not None:
@@ -309,6 +314,7 @@ def run_campaign(
         checkpoints_skipped=(
             store.stats["checkpoints_skipped"] if sharded else 0
         ),
+        resources=resources,
     )
     if telemetry is not None:
         elastic_stats = None
@@ -409,6 +415,7 @@ def _finalize_campaign_telemetry(
         },
         elastic_stats=elastic_stats,
         liveness_stats=liveness_stats,
+        resources=result.resources,
     )
     result.report = report
     path = telemetry.report_path()

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import errno
 import logging
+import multiprocessing
 import os
-import threading
 from pathlib import Path
 
 from repro.io.checkpoint import CheckpointError, load_checkpoint, save_state
@@ -153,6 +153,12 @@ class CheckpointStore:
         os.replace(path, self.quarantine_dir / path.name)
 
 
+_STAT_KEYS = (
+    "shards_written", "manifests_published", "io_retries",
+    "checkpoints_skipped",
+)
+
+
 class ShardedCheckpointStore:
     """Store of two-phase sharded checkpoints with rotation and quarantine.
 
@@ -171,7 +177,9 @@ class ShardedCheckpointStore:
     retried attempt, so one scheduled fault exercises the retry path and
     K ≥ attempts scheduled faults model a persistent outage.
 
-    Thread-safe: simulated ranks share one instance across threads.
+    Thread- and fork-safe: simulated ranks share one instance across
+    threads, and :attr:`stats` live in shared memory, so publishes and
+    retries made by forked process-backend ranks count in the parent too.
     """
 
     def __init__(self, directory, *, keep: int = 3, prefix: str = "ck",
@@ -188,13 +196,21 @@ class ShardedCheckpointStore:
             retry_policy if retry_policy is not None else RetryPolicy()
         )
         self.retry_seed = retry_seed
-        self._lock = threading.Lock()
-        self.stats = {
-            "shards_written": 0,
-            "manifests_published": 0,
-            "io_retries": 0,
-            "checkpoints_skipped": 0,
-        }
+        # One shared-memory counter per stat (with a process-shared
+        # lock): inherited by fork, so rank processes update the very
+        # counters the campaign driver reads.
+        self._counts = multiprocessing.Array("q", len(_STAT_KEYS))
+
+    @property
+    def stats(self) -> dict:
+        """Snapshot of ``shards_written``, ``manifests_published``,
+        ``io_retries`` and ``checkpoints_skipped`` over every rank."""
+        with self._counts.get_lock():
+            return dict(zip(_STAT_KEYS, self._counts[:]))
+
+    def _bump(self, key: str) -> None:
+        with self._counts.get_lock():
+            self._counts[_STAT_KEYS.index(key)] += 1
 
     # ------------------------------------------------------------------ #
     # paths
@@ -252,8 +268,7 @@ class ShardedCheckpointStore:
             return write_shard(path, blocks, rank=rank)
 
         def on_retry(attempt_i, exc, delay):
-            with self._lock:
-                self.stats["io_retries"] += 1
+            self._bump("io_retries")
             if events is not None:
                 events.emit(
                     "io_retry", "WARNING", step=step, rank=rank,
@@ -267,8 +282,7 @@ class ShardedCheckpointStore:
             on_retry=on_retry,
             describe=f"shard write (step {step}, rank {rank})",
         )
-        with self._lock:
-            self.stats["shards_written"] += 1
+        self._bump("shards_written")
         return entry
 
     def _maybe_inject_io_fault(self, path: Path, *, step: int, rank: int,
@@ -302,15 +316,13 @@ class ShardedCheckpointStore:
             step=step, time=time, topology=topology,
             z_offset=z_offset, kernel=kernel,
         )
-        with self._lock:
-            self.stats["manifests_published"] += 1
+        self._bump("manifests_published")
         self._rotate()
         return path
 
     def note_skipped(self) -> None:
         """Record a checkpoint that was skipped after persistent I/O failure."""
-        with self._lock:
-            self.stats["checkpoints_skipped"] += 1
+        self._bump("checkpoints_skipped")
 
     def save_global(self, state: dict, *, forest, owner, n_ranks: int,
                     events=None) -> Path:

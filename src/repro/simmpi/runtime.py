@@ -15,6 +15,11 @@ Two execution backends share these semantics:
   transport (:mod:`repro.simmpi.transport`).  Kernels genuinely run in
   parallel; channels are bounded, so exchanges must post receives
   before sending (the repo's exchange routines do).
+
+Either way a rank does not get the whole machine: every rank's compiled
+kernels run an OpenMP team of ``max(1, cores // n_ranks)`` threads, or
+``OMP_NUM_THREADS`` when that is set (:mod:`repro.simmpi.cores`).  Left
+to the budget, ranks x threads never exceeds the cores.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import os
 import threading
 
 from repro.simmpi.comm import Communicator, RankFailure, RemoteError, _World
+from repro.simmpi.cores import assign_rank_threads
 
 __all__ = ["run_spmd", "run_spmd_elastic", "run_spmd_resilient"]
 
@@ -42,7 +48,8 @@ def run_spmd(n_ranks: int, fn, *args, backend: str | None = None,
     *backend* selects the execution substrate: ``"thread"`` (default) or
     ``"process"`` (see the module docstring for the trade-off).  When
     ``None``, the ``REPRO_SIMMPI_BACKEND`` environment variable decides,
-    defaulting to ``"thread"``.
+    defaulting to ``"thread"``.  On both, each rank gets its core budget
+    (:func:`repro.simmpi.cores.assign_rank_threads`) before *fn* runs.
     """
     if n_ranks < 1:
         raise ValueError("need at least one rank")
@@ -62,6 +69,7 @@ def run_spmd(n_ranks: int, fn, *args, backend: str | None = None,
 
     def entry(rank: int) -> None:
         comm = Communicator(world, rank)
+        assign_rank_threads(n_ranks)
         try:
             results[rank] = fn(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - repropagated below
@@ -121,6 +129,7 @@ def run_spmd_elastic(n_ranks: int, fn, *args, **kwargs) -> tuple[list, dict]:
 
     def entry(rank: int) -> None:
         comm = Communicator(world, rank)
+        assign_rank_threads(n_ranks)
         try:
             results[rank] = fn(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - reported via failures

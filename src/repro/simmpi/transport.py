@@ -55,6 +55,11 @@ from repro.simmpi.comm import (
     RemoteError,
     _copy_payload,
 )
+from repro.simmpi.cores import (
+    assign_rank_threads,
+    fork_inherited_pool,
+    team_share,
+)
 from repro.simmpi.deadline import DeadlinePolicy
 from repro.simmpi.liveness import LivenessBeacon, RankMonitor, WatchdogConfig
 
@@ -272,6 +277,7 @@ class RankTransport:
         self._degraded = False                  # sticky inline-only mode
         self.degradations = 0
         self._reclaimed: list[tuple[str, int]] = []
+        self._thread_cap: dict | None = None
         # Pipe writes are normally single-threaded; the lock exists for
         # the rare out-of-band senders (delayed-delivery fault timers).
         self._post_lock = threading.Lock()
@@ -282,18 +288,38 @@ class RankTransport:
         self._timing = tree
 
     def attach_events(self, events) -> None:
-        """Stream transport telemetry (degradations, reclaimed segments)
-        into *events*; queued pre-attach happenings are flushed."""
+        """Stream transport telemetry (degradations, reclaimed segments,
+        the OpenMP fork cap) into *events*; queued pre-attach happenings
+        are flushed."""
         self._events = events
         if events is not None:
             for name, pid in self._reclaimed:
                 events.emit("shm_reclaimed", "WARNING",
                             segment=name, owner_pid=pid)
             self._reclaimed = []
+            if self._thread_cap is not None:
+                events.emit("openmp_fork_cap", "WARNING", **self._thread_cap)
 
     def note_reclaimed(self, reclaimed) -> None:
         """Queue orphan-sweep results for the next :meth:`attach_events`."""
         self._reclaimed.extend(reclaimed)
+
+    def note_thread_cap(self, share: int) -> None:
+        """Record that the fork guard capped this rank's OpenMP team.
+
+        The parent had already started an OpenMP pool, which libgomp
+        cannot carry across ``fork``; the rank runs one thread instead
+        of its share.  Warned now, emitted as an ``openmp_fork_cap``
+        event once events are attached.
+        """
+        self._thread_cap = {"threads": 1, "share": share}
+        message = (
+            f"rank {self.rank}: forked after the parent started an OpenMP "
+            f"thread pool; compiled kernels capped at 1 thread instead of "
+            f"{share} (libgomp is not fork-safe)"
+        )
+        logger.warning(message)
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
 
     def note_progress(self) -> None:
         """Bump the liveness counter (called by drivers once per step)."""
@@ -1052,6 +1078,9 @@ def _child_entry(rank, size, fn, args, kwargs, readers, writers,
     transport = RankTransport(rank, size, readers, writers, failed, barrier)
     if rank == 0 and reclaimed:
         transport.note_reclaimed(reclaimed)
+    stamp = assign_rank_threads(size, inherited_pool=fork_inherited_pool())
+    if stamp["fork_capped"]:
+        transport.note_thread_cap(team_share(size)[0])
     comm = ProcessCommunicator(transport)
     result_lock = threading.Lock()
 

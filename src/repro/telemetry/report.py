@@ -37,6 +37,9 @@ RUN_REPORT_VERSION = 1
 
 _SCHEMA_NAME = "repro.run_report"
 
+#: Where a ``resources.threads_per_rank`` came from (see repro.simmpi.cores).
+THREAD_SOURCES = ("budget", "OMP_NUM_THREADS")
+
 #: JSON-Schema document of the report format, for external validators.
 RUN_REPORT_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -132,6 +135,18 @@ RUN_REPORT_SCHEMA = {
                 "pipe_latency": {"type": ["object", "null"]},
             },
         },
+        "resources": {
+            "type": "object",
+            "required": ["cores", "ranks", "threads_per_rank",
+                         "thread_source", "fork_capped"],
+            "properties": {
+                "cores": {"type": "integer", "minimum": 1},
+                "ranks": {"type": "integer", "minimum": 1},
+                "threads_per_rank": {"type": "integer", "minimum": 1},
+                "thread_source": {"enum": list(THREAD_SOURCES)},
+                "fork_capped": {"type": "integer", "minimum": 0},
+            },
+        },
         "series": {"type": "object"},
     },
 }
@@ -165,6 +180,7 @@ def build_run_report(
     elastic_stats: dict | None = None,
     liveness_stats: dict | None = None,
     tracing_stats: dict | None = None,
+    resources: dict | None = None,
     series: dict | None = None,
     created: float | None = None,
 ) -> dict:
@@ -180,8 +196,15 @@ def build_run_report(
     the deadline/watchdog layer — adds the optional ``liveness``
     section.  *tracing_stats* — the span-derived overlap / imbalance /
     pipe-latency analyses of :func:`repro.telemetry.spans.tracing_section`
-    — adds the optional ``tracing`` section.  *created* defaults to the
-    current time — pass a fixed value for byte-reproducible reports.
+    — adds the optional ``tracing`` section.  *resources* — the core
+    budget the run had (``cores``, ``ranks``, ``threads_per_rank``,
+    ``thread_source``, ``fork_capped``; see
+    :attr:`repro.distributed.solver.DistributedResult.resources`) — adds the
+    optional ``resources`` section.  It lives outside ``config`` on
+    purpose: the budget describes the machine, not the experiment, so
+    it must not change ``config_hash`` (the perf-history series key).
+    *created* defaults to the current time — pass a fixed value for
+    byte-reproducible reports.
     """
     shape = [int(s) for s in grid_shape]
     cells = 1
@@ -230,6 +253,8 @@ def build_run_report(
             "pipe_latency": None,
             **tracing_stats,
         }
+    if resources is not None:
+        report["resources"] = {"fork_capped": 0, **resources}
     if series is not None:
         report["series"] = series
     validate_run_report(report)
@@ -368,6 +393,19 @@ def validate_run_report(report: dict) -> None:
             or isinstance(tracing["pipe_latency"], dict),
             "tracing.pipe_latency must be an object or null",
         )
+    if "resources" in report:
+        resources = report["resources"]
+        _require(isinstance(resources, dict), "resources must be an object")
+        for key, low in (("cores", 1), ("ranks", 1),
+                         ("threads_per_rank", 1), ("fork_capped", 0)):
+            _require(
+                isinstance(resources.get(key), int)
+                and not isinstance(resources[key], bool)
+                and resources[key] >= low,
+                f"resources.{key} must be an integer >= {low}",
+            )
+        _require(resources.get("thread_source") in THREAD_SOURCES,
+                 f"resources.thread_source must be one of {THREAD_SOURCES}")
     if "series" in report:
         _require(isinstance(report["series"], dict),
                  "series must be an object")
@@ -417,16 +455,23 @@ def _flatten_timings(timings: dict) -> list[tuple[str, dict]]:
 def summarize_run_report(report: dict) -> list[str]:
     """Human-readable summary lines of a validated run report.
 
-    Top timing scopes by total seconds (with per-rank imbalance when the
-    reduced tree carries it), counters, and one line per optional
-    section (guards / faults / elastic / liveness / tracing) — the
-    ``--summary`` mode of the CLI.
+    The resource budget, top timing scopes by total seconds (with
+    per-rank imbalance when the reduced tree carries it), counters, and
+    one line per optional section (guards / faults / elastic / liveness /
+    tracing) — the ``--summary`` mode of the CLI.
     """
     lines = [
         f"run {report['run_id']}  config {report['config_hash']}  "
         f"ranks {report['ranks']}  steps {report['steps']}  "
         f"mlups {report['mlups']:.3f}  wall {report['wall_seconds']:.3f}s",
     ]
+    if "resources" in report:
+        rs = report["resources"]
+        lines.append(
+            f"resources: cores {rs['cores']}  ranks {rs['ranks']}  "
+            f"threads/rank {rs['threads_per_rank']} "
+            f"({rs['thread_source']})  fork_capped {rs['fork_capped']}"
+        )
     timings = report.get("timings")
     if timings:
         rows = sorted(
