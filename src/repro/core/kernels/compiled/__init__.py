@@ -9,9 +9,11 @@ Two interchangeable backends compile the *same* per-cell loop algorithm
     ``@njit(parallel=True, fastmath=False)`` over the loop bodies —
     preferred when numba is installed.
 ``cffi``
-    A generated-C transcription built with the system C compiler and
-    loaded via cffi ABI mode (OpenMP threading) — covers environments
-    without numba but with a C toolchain.
+    Generated C built with the system C compiler and loaded via cffi ABI
+    mode (OpenMP threading) — covers environments without numba but with
+    a C toolchain.  It is specialized to the alloy's (N, K) and evaluates
+    each mu face flux once (staggered face buffers), and stays bitwise
+    equal to the loop spec.
 
 Selection is lazy: nothing is imported or compiled until a compiled rung
 is actually requested.  ``REPRO_KERNEL_BACKEND`` picks the backend
@@ -36,13 +38,14 @@ Tolerance policy: the equivalence suite pins both rungs to the
 pure-Python reference at the same ``atol=1e-11`` as the NumPy rungs.
 Bitwise identity with the reference is *not* guaranteed (the compiled
 rungs use the analytic 2x2 susceptibility solve and the O(N) driving
-force form, like the optimized NumPy rungs), but the two compiled
-backends are transcriptions of one algorithm and agree with the
-un-jitted loop bodies to machine precision.
+force form, like the optimized NumPy rungs).  The numba backend compiles
+the loop bodies unchanged; the C backend computes the un-jitted loop
+bodies' exact bits, which its tests check with ``np.array_equal``.
 
-The kernels allocate all temporaries on the per-thread stack and never
-touch ``KernelContext.get_scratch`` — they are safe under
-``parallel=True`` and place no thread-ownership claim on the context.
+The kernels keep per-cell temporaries on the per-thread stack, allocate
+any per-sweep scratch per call, and never touch
+``KernelContext.get_scratch`` — they are safe under ``parallel=True``
+and place no thread-ownership claim on the context.
 """
 
 from __future__ import annotations

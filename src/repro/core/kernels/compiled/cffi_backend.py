@@ -1,6 +1,6 @@
 """Generated-C compiled backend (cffi ABI mode, OpenMP threading).
 
-A line-for-line C transcription of the per-cell loops in
+A C implementation of the per-cell sweeps of
 :mod:`repro.core.kernels.compiled.loops`, compiled on demand with the
 system C compiler into a shared library and loaded through ``cffi``'s ABI
 mode (``dlopen``) — no setuptools machinery, no build at install time.
@@ -9,6 +9,26 @@ backend is the equivalent rung for environments without numba (ROADMAP
 lists "Numba ``@njit(parallel=True)`` or a generated-C/cffi kernel" as
 interchangeable options for it).
 
+What the C adds to the loop spec
+--------------------------------
+It keeps ``loops.py``'s arithmetic term by term, in the same order, and
+adds the two node-level steps of the paper's ladder (Sec. 3.3):
+
+* **Specialization.** Both sweeps are one C template instantiated twice
+  through the preprocessor: with the Ag-Al-Cu numbers of phases and
+  solutes (``N = 4``, ``K = 2``) as compile-time constants, and with
+  the runtime ``geom[4]``/``geom[5]`` for any other alloy.  The exported
+  entry points dispatch on ``geom``.
+* **Staggered mu buffering.** The mu sweep evaluates every face flux
+  once, from the face's lower cell, into per-axis face arrays, and the
+  cell update reads its ``2 * dim`` faces from there; the cellwise loop
+  evaluates each face twice, once from either side.  Every face term is
+  symmetric in its two cells, so the result is bitwise that of the
+  cellwise loop.  The phi sweep stays cellwise.
+
+``tests/test_kernels_compiled.py`` pins both sweeps bitwise
+(``np.array_equal``) to the interpreted loop spec.
+
 Compilation policy
 ------------------
 * The C source is hashed (together with the compiler identity); the
@@ -16,9 +36,10 @@ Compilation policy
   (override with ``REPRO_COMPILED_CACHE``), so each environment compiles
   exactly once.  Builds go to a temp name and ``os.replace`` in, so
   concurrent processes race benignly.
-* No ``-ffast-math``: the equivalence suite pins the compiled rungs to
-  the pure-Python reference at the same tolerance as the NumPy rungs,
-  which IEEE-breaking optimizations would void.
+* No ``-ffast-math``: the bitwise pin to the loop spec needs IEEE
+  semantics (and the default x86-64 target has no fused multiply-add to
+  contract into).  No ``-march`` either, so the cached ``.so`` is not
+  tied to one host.
 * ``-fopenmp`` is attempted first and dropped if the toolchain lacks it;
   the library records which variant is loaded (:func:`num_threads`).
 
@@ -30,8 +51,14 @@ call.  The first call that runs with a team of more than one thread sets
 inherit, so a process rank forked afterwards is capped at one thread
 instead of hanging in libgomp's stale pool.
 
-Parallel safety: every temporary lives on the per-thread stack inside
-the OpenMP loop; the kernels never touch ``KernelContext.get_scratch``.
+Memory: per-cell temporaries live on the per-thread stack inside the
+OpenMP loops; the T(z) tables, the mu sweep's region flags and face
+arrays are ``malloc``'d per call (ranks call the library concurrently
+from their own threads, so nothing is static or shared), and the kernels
+never touch ``KernelContext.get_scratch``.  Every allocation happens
+before the first input is read; when one fails the sweep returns a
+non-zero status and :func:`phi_step_raw`/:func:`mu_step_raw` raise
+:class:`MemoryError`.
 """
 
 from __future__ import annotations
@@ -57,13 +84,13 @@ __all__ = [
 ]
 
 _CDEF = """
-void repro_phi_step(
+int repro_phi_step(
     const double *phi, const double *mu, const double *tg, double *out,
     const long long *geom, const double *scal,
     const double *gamma, const double *tau, const double *inv_curv,
     const double *c_eq, const double *c_slope, const double *latent,
     const double *diff, int shortcuts);
-void repro_mu_step(
+int repro_mu_step(
     const double *mu, const double *phi_src, const double *phi_dst,
     const double *t_old, const double *t_new, double *out,
     const long long *geom, const double *scal,
@@ -74,9 +101,7 @@ int repro_num_threads(void);
 void repro_set_num_threads(int n);
 """
 
-# C transcription of loops.py (kept in the same order, term by term, so
-# the two stay auditable against each other).
-_C_SOURCE = r"""
+_C_PRELUDE = r"""
 #include <math.h>
 #include <stdlib.h>
 
@@ -88,6 +113,12 @@ _C_SOURCE = r"""
 #define MAXK 4
 #define TOL 1e-9
 #define GRAD_TOL 1e-12
+
+/* (N, K) the sweeps are specialized to: the Ag-Al-Cu system (three solids
+ * + liquid, two independent solutes).  Other alloys run the generic
+ * instance of the same template. */
+#define SPEC_N 4
+#define SPEC_K 2
 
 typedef long long i64;
 
@@ -108,17 +139,24 @@ void repro_set_num_threads(int n)
     (void)n;
 #endif
 }
+"""
 
-void repro_phi_step(
+# The two sweeps, written once against the macros NPH/NSOL (numbers of
+# phases/solutes) and PHI_SWEEP/MU_SWEEP (the instance names); see
+# _instantiate.  The arithmetic is loops.py's, term by term and in the
+# same order; the mu sweep only reorganizes *where* each face flux is
+# evaluated (once per face instead of once from each side).
+_C_SWEEPS = r"""
+static int PHI_SWEEP(
     const double *phi, const double *mu, const double *tg, double *out,
     const i64 *geom, const double *scal,
     const double *gamma, const double *tau, const double *inv_curv,
     const double *c_eq, const double *c_slope, const double *latent,
-    const double *diff, int shortcuts)
+    int shortcuts)
 {
     const int dim3 = (int)geom[0];
     const i64 n0 = geom[1], n1 = geom[2], n2 = geom[3];
-    const int N = (int)geom[4], K = (int)geom[5];
+    const int N = NPH, K = NSOL;
     const double dx = scal[0], dt = scal[1], eps = scal[2];
     const double gt = scal[3], t_eut = scal[4];
     const i64 g1 = n1 + 2, g2 = n2 + 2;
@@ -127,11 +165,16 @@ void repro_phi_step(
     const i64 ocs = n0 * n1 * n2;
     const int nax = dim3 ? 3 : 2;
     const double pref = 16.0 / (M_PI * M_PI);
-    (void)diff;
 
-    /* T(z) slice coefficients, once per sweep (the tz optimization) */
     double *cmin_z = (double *)malloc((size_t)(n2 * N * K) * sizeof(double));
     double *lat_z = (double *)malloc((size_t)(n2 * N) * sizeof(double));
+    if (!cmin_z || !lat_z) {
+        free(cmin_z);
+        free(lat_z);
+        return 1;
+    }
+
+    /* T(z) slice coefficients, once per sweep (the tz optimization) */
     for (i64 iz = 0; iz < n2; iz++) {
         const double dT = tg[iz + 1] - t_eut;
         for (int a = 0; a < N; a++) {
@@ -316,9 +359,25 @@ void repro_phi_step(
     }
     free(cmin_z);
     free(lat_z);
+    return 0;
 }
 
-void repro_mu_step(
+/* The mu sweep runs in three passes:
+ *   1. region flags of every interior cell (active, front);
+ *   2. every face flux, evaluated once from the face's lower cell
+ *      (s = +1) into per-axis face arrays;
+ *   3. the cell update, reading its 2*dim faces in (d, s) order.
+ * A face term seen from the upper cell (s = -1) is bitwise the same
+ * number: the averages are sums of the same two operands, and
+ * -1 * (x - y) equals y - x exactly (the differences only ever reach an
+ * accumulator that starts at +0.0, so no sign of zero survives).
+ *
+ * Face arrays hold two slots per face: flux_d the diffusion flux D, and
+ * flux_at D with the anti-trapping current subtracted, filled only when
+ * an adjacent interior cell is a front cell (under only_at it starts
+ * from 0, as the cellwise loop does).  The faces of axis d are indexed
+ * by their upper cell over the interior grid extended by one along d. */
+static int MU_SWEEP(
     const double *mu, const double *phi_src, const double *phi_dst,
     const double *t_old, const double *t_new, double *out,
     const i64 *geom, const double *scal,
@@ -328,7 +387,7 @@ void repro_mu_step(
 {
     const int dim3 = (int)geom[0];
     const i64 n0 = geom[1], n1 = geom[2], n2 = geom[3];
-    const int N = (int)geom[4], K = (int)geom[5];
+    const int N = NPH, K = NSOL;
     const int ell = (int)geom[6];
     const double dx = scal[0], dt = scal[1], eps = scal[2];
     const double t_eut = scal[4];
@@ -338,11 +397,43 @@ void repro_mu_step(
     const i64 ocs = n0 * n1 * n2;
     const int nax = dim3 ? 3 : 2;
     const double pref_at = M_PI * eps / 4.0;
+    const int at_faces = anti_trapping && include_at;
 
-    /* T(z) coefficients at cell centres and growth-axis faces */
+    /* ghosted offset of each axis d; interior extent and stride of the
+     * array axis it runs along (2-D fields have no x-ghosts, n0 == 1) */
+    const i64 off[3] = {dim3 ? g1 * g2 : g2, dim3 ? g2 : 1, dim3 ? 1 : 0};
+    const i64 ext[3] = {n0, n1, n2};
+    const i64 ostr[3] = {n1 * n2, n2, 1};
+    /* face grid of axis d: extents fm*, stride fstep along d, first face */
+    i64 fm0[3], fm1[3], fm2[3], fstep[3], fstart[4];
+    fstart[0] = 0;
+    for (int d = 0; d < 3; d++) {
+        const int ax = d + 3 - nax;
+        fm0[d] = n0 + (ax == 0);
+        fm1[d] = n1 + (ax == 1);
+        fm2[d] = n2 + (ax == 2);
+        fstep[d] = ax == 0 ? fm1[d] * fm2[d] : (ax == 1 ? fm2[d] : 1);
+        fstart[d + 1] = fstart[d] + (d < nax ? fm0[d] * fm1[d] * fm2[d] : 0);
+    }
+    const size_t fbytes = (size_t)(fstart[nax] * K) * sizeof(double);
+
     double *cmin_c = (double *)malloc((size_t)(n2 * N * K) * sizeof(double));
     double *cmin_f =
         (double *)malloc((size_t)((n2 + 1) * N * K) * sizeof(double));
+    unsigned char *flags = (unsigned char *)malloc((size_t)ocs);
+    double *flux_d = only_at ? NULL : (double *)malloc(fbytes);
+    double *flux_at = at_faces ? (double *)malloc(fbytes) : NULL;
+    if (!cmin_c || !cmin_f || !flags || (!only_at && !flux_d)
+        || (at_faces && !flux_at)) {
+        free(cmin_c);
+        free(cmin_f);
+        free(flags);
+        free(flux_d);
+        free(flux_at);
+        return 1;
+    }
+
+    /* T(z) coefficients at cell centres and growth-axis faces */
     for (i64 iz = 0; iz < n2; iz++) {
         const double dT = t_old[iz + 1] - t_eut;
         for (int a = 0; a < N; a++)
@@ -358,40 +449,21 @@ void repro_mu_step(
                     c_eq[a * K + i] + c_slope[a * K + i] * dT;
     }
 
+    /* pass 1: region flags (bit 0 active, bit 1 front) */
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static)
 #endif
     for (i64 p01 = 0; p01 < n0 * n1; p01++) {
         const i64 i0 = p01 / n1;
         const i64 i1 = p01 - i0 * n1;
-        i64 off[3];
-        i64 base01;
-        if (dim3) {
-            off[0] = g1 * g2; off[1] = g2; off[2] = 1;
-            base01 = ((i0 + 1) * g1 + (i1 + 1)) * g2;
-        } else {
-            off[0] = g2; off[1] = 1; off[2] = 0;
-            base01 = (i1 + 1) * g2;
-        }
-        double phio[MAXN], phin[MAXN], mu_c[MAXK];
-        double h_old[MAXN], h_new[MAXN];
-        double rhs[MAXK], dmu[MAXK], flux[MAXK];
-        double phi_f[MAXN], dphidt_f[MAXN], mu_f[MAXK];
-        double gl[3], nl[3], ga[3], na[3], c_l[MAXK];
-        double chi[MAXK][MAXK], sol[MAXK];
+        const i64 base01 = dim3 ? ((i0 + 1) * g1 + (i1 + 1)) * g2
+                                : (i1 + 1) * g2;
+        double phio[MAXN];
         for (i64 i2 = 0; i2 < n2; i2++) {
             const i64 c = base01 + i2 + 1;
-            const i64 oc = (i0 * n1 + i1) * n2 + i2;
-            const double told = t_old[i2 + 1];
-            const double tnew = t_new[i2 + 1];
-            for (int a = 0; a < N; a++) {
-                phio[a] = phi_src[a * cs + c];
-                phin[a] = phi_dst[a * cs + c];
-            }
-            for (int i = 0; i < K; i++) mu_c[i] = mu[i * cs + c];
-
             int active = 1, front = 1;
             if (shortcuts) {
+                for (int a = 0; a < N; a++) phio[a] = phi_src[a * cs + c];
                 int diffuse = 1;
                 for (int a = 0; a < N; a++)
                     if (phio[a] >= 1.0 - TOL) { diffuse = 0; break; }
@@ -420,10 +492,191 @@ void repro_mu_step(
                     front = 0;
                 }
             }
+            flags[p01 * n2 + i2] = (unsigned char)(active | front << 1);
+        }
+    }
 
-            const int do_at = anti_trapping && front;
+    /* pass 2: face fluxes of div(M grad mu - J_at), seen from cell c
+     * below the face (s = +1, neighbour nb above it) */
+    for (int d = 0; d < nax; d++) {
+        const int ax = d + 3 - nax;
+        const i64 o = off[d];
+        const i64 m1 = fm1[d], m2 = fm2[d];
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+        for (i64 p01 = 0; p01 < fm0[d] * m1; p01++) {
+            const i64 j0 = p01 / m1;
+            const i64 j1 = p01 - j0 * m1;
+            const i64 base01 = dim3 ? ((j0 + 1) * g1 + (j1 + 1)) * g2
+                                    : (j1 + 1) * g2;
+            double phio[MAXN], phin[MAXN], mu_c[MAXK];
+            double dmu[MAXK], flux[MAXK];
+            double phi_f[MAXN], dphidt_f[MAXN], mu_f[MAXK];
+            double gl[3], nl[3], ga[3], na[3], c_l[MAXK];
+            for (i64 j2 = 0; j2 < m2; j2++) {
+                const i64 nb = base01 + j2 + 1;
+                const i64 c = nb - o;
+                const i64 f = fstart[d] + p01 * m2 + j2;
+                /* position of the face along d; interior index of nb */
+                const i64 jd = ax == 0 ? j0 : (ax == 1 ? j1 : j2);
+                const i64 onb = (j0 * n1 + j1) * n2 + j2;
+                const int at = at_faces
+                    && ((jd > 0 && (flags[onb - ostr[ax]] & 2))
+                        || (jd < ext[ax] && (flags[onb] & 2)));
+                if (only_at && !at)
+                    continue;
+                /* z index of c for the T(z) tables (faces across z use
+                 * the face table, entry fz) */
+                const i64 i2 = ax == 2 ? j2 - 1 : j2;
+                for (int a = 0; a < N; a++) {
+                    phio[a] = phi_src[a * cs + c];
+                    double v = 0.5 * (phio[a] + phi_src[a * cs + nb]);
+                    if (v < 0.0) v = 0.0;
+                    else if (v > 1.0) v = 1.0;
+                    phi_f[a] = v;
+                }
+                for (int i = 0; i < K; i++) mu_c[i] = mu[i * cs + c];
+
+                for (int i = 0; i < K; i++) flux[i] = 0.0;
+                if (!only_at) {
+                    for (int i = 0; i < K; i++)
+                        dmu[i] = (mu[i * cs + nb] - mu_c[i]) / dx;
+                    for (int a = 0; a < N; a++) {
+                        const double w = phi_f[a];
+                        for (int i = 0; i < K; i++) {
+                            double acc = 0.0;
+                            for (int j = 0; j < K; j++)
+                                acc += inv_curv[(a * K + i) * K + j]
+                                    * dmu[j];
+                            flux[i] += w * diff[a] * acc;
+                        }
+                    }
+                    for (int i = 0; i < K; i++) flux_d[f * K + i] = flux[i];
+                }
+                if (!at)
+                    continue;
+
+                /* anti-trapping current through this face */
+                double sqs = 0.0;
+                for (int a = 0; a < N; a++) {
+                    phin[a] = phi_dst[a * cs + c];
+                    dphidt_f[a] = 0.5 * (
+                        (phin[a] - phio[a])
+                        + (phi_dst[a * cs + nb]
+                           - phi_src[a * cs + nb])) / dt;
+                    sqs += phi_f[a] * phi_f[a];
+                }
+                sqs += 1e-300;
+                for (int i = 0; i < K; i++)
+                    mu_f[i] = 0.5 * (mu_c[i] + mu[i * cs + nb]);
+                /* liquid normal at the face */
+                double normsq = 0.0;
+                for (int e = 0; e < nax; e++) {
+                    if (e == d) {
+                        gl[e] = (phi_src[ell * cs + nb]
+                                 - phi_src[ell * cs + c]) / dx;
+                    } else {
+                        const i64 oe = off[e];
+                        gl[e] = 0.5 * (
+                            (phi_src[ell * cs + c + oe]
+                             - phi_src[ell * cs + c - oe])
+                            / (2.0 * dx)
+                            + (phi_src[ell * cs + nb + oe]
+                               - phi_src[ell * cs + nb - oe])
+                            / (2.0 * dx));
+                    }
+                    normsq += gl[e] * gl[e];
+                }
+                const double norm_l = sqrt(normsq);
+                for (int e = 0; e < nax; e++)
+                    nl[e] = norm_l > GRAD_TOL ? gl[e] / norm_l : 0.0;
+                /* c_l(mu_f, T_face) */
+                i64 fz = -1;
+                if (d == nax - 1) {
+                    fz = i2 + 1;
+                    for (int i = 0; i < K; i++)
+                        c_l[i] = cmin_f[(fz * N + ell) * K + i];
+                } else {
+                    for (int i = 0; i < K; i++)
+                        c_l[i] = cmin_c[(i2 * N + ell) * K + i];
+                }
+                for (int i = 0; i < K; i++) {
+                    double acc = 0.0;
+                    for (int j = 0; j < K; j++)
+                        acc += inv_curv[(ell * K + i) * K + j] * mu_f[j];
+                    c_l[i] += acc;
+                }
+                for (int a = 0; a < N; a++) {
+                    if (a == ell) continue;
+                    double nsq = 0.0;
+                    for (int e = 0; e < nax; e++) {
+                        if (e == d) {
+                            ga[e] = (phi_src[a * cs + nb]
+                                     - phi_src[a * cs + c]) / dx;
+                        } else {
+                            const i64 oe = off[e];
+                            ga[e] = 0.5 * (
+                                (phi_src[a * cs + c + oe]
+                                 - phi_src[a * cs + c - oe])
+                                / (2.0 * dx)
+                                + (phi_src[a * cs + nb + oe]
+                                   - phi_src[a * cs + nb - oe])
+                                / (2.0 * dx));
+                        }
+                        nsq += ga[e] * ga[e];
+                    }
+                    const double norm_a = sqrt(nsq);
+                    for (int e = 0; e < nax; e++)
+                        na[e] = norm_a > GRAD_TOL ? ga[e] / norm_a : 0.0;
+                    const double amp =
+                        sqrt(phi_f[a] * phi_f[ell]) * phi_f[ell] / sqs;
+                    double dot = 0.0;
+                    for (int e = 0; e < nax; e++)
+                        dot += na[e] * nl[e];
+                    const double scalf =
+                        pref_at * amp * dphidt_f[a] * dot * na[d];
+                    for (int i = 0; i < K; i++) {
+                        double c_ai = fz >= 0
+                            ? cmin_f[(fz * N + a) * K + i]
+                            : cmin_c[(i2 * N + a) * K + i];
+                        for (int j = 0; j < K; j++)
+                            c_ai += inv_curv[(a * K + i) * K + j] * mu_f[j];
+                        flux[i] -= scalf * (c_l[i] - c_ai);
+                    }
+                }
+                for (int i = 0; i < K; i++) flux_at[f * K + i] = flux[i];
+            }
+        }
+    }
+
+    /* pass 3: cell update */
+#ifdef _OPENMP
+#pragma omp parallel for schedule(static)
+#endif
+    for (i64 p01 = 0; p01 < n0 * n1; p01++) {
+        const i64 i0 = p01 / n1;
+        const i64 i1 = p01 - i0 * n1;
+        const i64 base01 = dim3 ? ((i0 + 1) * g1 + (i1 + 1)) * g2
+                                : (i1 + 1) * g2;
+        double phio[MAXN], phin[MAXN], mu_c[MAXK];
+        double h_old[MAXN], h_new[MAXN];
+        double rhs[MAXK];
+        double chi[MAXK][MAXK], sol[MAXK];
+        for (i64 i2 = 0; i2 < n2; i2++) {
+            const i64 c = base01 + i2 + 1;
+            const i64 oc = p01 * n2 + i2;
+            const int active = flags[oc] & 1;
+            const int do_at = anti_trapping && (flags[oc] & 2);
             if (only_at && !do_at)
                 continue;  /* out already holds the local partial result */
+            const double told = t_old[i2 + 1];
+            const double tnew = t_new[i2 + 1];
+            for (int a = 0; a < N; a++) {
+                phio[a] = phi_src[a * cs + c];
+                phin[a] = phi_dst[a * cs + c];
+            }
+            for (int i = 0; i < K; i++) mu_c[i] = mu[i * cs + c];
 
             /* Moelans interpolation weights of both time levels */
             double sqo = 0.0, sqn = 0.0;
@@ -463,127 +716,19 @@ void repro_mu_step(
                 }
             }
 
-            /* face fluxes: div(M grad mu - J_at) */
-            for (int d = 0; d < nax; d++) {
-                const i64 o = off[d];
+            /* face fluxes: div(M grad mu - J_at); a face is this cell's
+             * upper face (s = +1) or lower face (s = -1) along d.  No
+             * slot is filled for only_at without include_at, where every
+             * flux of the cellwise loop is zero. */
+            const double *fx = do_at && include_at ? flux_at : flux_d;
+            for (int d = 0; d < nax && fx; d++) {
+                const i64 lower =
+                    fstart[d] + (i0 * fm1[d] + i1) * fm2[d] + i2;
                 for (int si = 0; si < 2; si++) {
                     const int s = 1 - 2 * si;
-                    const i64 nb = c + (i64)s * o;
-                    for (int i = 0; i < K; i++) flux[i] = 0.0;
-                    if (!only_at) {
-                        for (int i = 0; i < K; i++)
-                            dmu[i] = s * (mu[i * cs + nb] - mu_c[i]) / dx;
-                        for (int a = 0; a < N; a++) {
-                            double w = 0.5 * (phio[a] + phi_src[a * cs + nb]);
-                            if (w < 0.0) w = 0.0;
-                            else if (w > 1.0) w = 1.0;
-                            for (int i = 0; i < K; i++) {
-                                double acc = 0.0;
-                                for (int j = 0; j < K; j++)
-                                    acc += inv_curv[(a * K + i) * K + j]
-                                        * dmu[j];
-                                flux[i] += w * diff[a] * acc;
-                            }
-                        }
-                    }
-                    if (do_at && include_at) {
-                        /* anti-trapping current through this face */
-                        double sqs = 0.0;
-                        for (int a = 0; a < N; a++) {
-                            double v = 0.5 * (phio[a] + phi_src[a * cs + nb]);
-                            if (v < 0.0) v = 0.0;
-                            else if (v > 1.0) v = 1.0;
-                            phi_f[a] = v;
-                            dphidt_f[a] = 0.5 * (
-                                (phin[a] - phio[a])
-                                + (phi_dst[a * cs + nb]
-                                   - phi_src[a * cs + nb])) / dt;
-                            sqs += v * v;
-                        }
-                        sqs += 1e-300;
-                        for (int i = 0; i < K; i++)
-                            mu_f[i] = 0.5 * (mu_c[i] + mu[i * cs + nb]);
-                        /* liquid normal at the face */
-                        double normsq = 0.0;
-                        for (int e = 0; e < nax; e++) {
-                            if (e == d) {
-                                gl[e] = s * (phi_src[ell * cs + nb]
-                                             - phi_src[ell * cs + c]) / dx;
-                            } else {
-                                const i64 oe = off[e];
-                                gl[e] = 0.5 * (
-                                    (phi_src[ell * cs + c + oe]
-                                     - phi_src[ell * cs + c - oe])
-                                    / (2.0 * dx)
-                                    + (phi_src[ell * cs + nb + oe]
-                                       - phi_src[ell * cs + nb - oe])
-                                    / (2.0 * dx));
-                            }
-                            normsq += gl[e] * gl[e];
-                        }
-                        const double norm_l = sqrt(normsq);
-                        for (int e = 0; e < nax; e++)
-                            nl[e] = norm_l > GRAD_TOL ? gl[e] / norm_l : 0.0;
-                        /* c_l(mu_f, T_face) */
-                        i64 fz = -1;
-                        if (d == nax - 1) {
-                            fz = s > 0 ? i2 + 1 : i2;
-                            for (int i = 0; i < K; i++)
-                                c_l[i] = cmin_f[(fz * N + ell) * K + i];
-                        } else {
-                            for (int i = 0; i < K; i++)
-                                c_l[i] = cmin_c[(i2 * N + ell) * K + i];
-                        }
-                        for (int i = 0; i < K; i++) {
-                            double acc = 0.0;
-                            for (int j = 0; j < K; j++)
-                                acc += inv_curv[(ell * K + i) * K + j]
-                                    * mu_f[j];
-                            c_l[i] += acc;
-                        }
-                        for (int a = 0; a < N; a++) {
-                            if (a == ell) continue;
-                            double nsq = 0.0;
-                            for (int e = 0; e < nax; e++) {
-                                if (e == d) {
-                                    ga[e] = s * (phi_src[a * cs + nb]
-                                                 - phi_src[a * cs + c]) / dx;
-                                } else {
-                                    const i64 oe = off[e];
-                                    ga[e] = 0.5 * (
-                                        (phi_src[a * cs + c + oe]
-                                         - phi_src[a * cs + c - oe])
-                                        / (2.0 * dx)
-                                        + (phi_src[a * cs + nb + oe]
-                                           - phi_src[a * cs + nb - oe])
-                                        / (2.0 * dx));
-                                }
-                                nsq += ga[e] * ga[e];
-                            }
-                            const double norm_a = sqrt(nsq);
-                            for (int e = 0; e < nax; e++)
-                                na[e] = norm_a > GRAD_TOL
-                                    ? ga[e] / norm_a : 0.0;
-                            const double amp =
-                                sqrt(phi_f[a] * phi_f[ell])
-                                * phi_f[ell] / sqs;
-                            double dot = 0.0;
-                            for (int e = 0; e < nax; e++)
-                                dot += na[e] * nl[e];
-                            const double scalf =
-                                pref_at * amp * dphidt_f[a] * dot * na[d];
-                            for (int i = 0; i < K; i++) {
-                                double c_ai = fz >= 0
-                                    ? cmin_f[(fz * N + a) * K + i]
-                                    : cmin_c[(i2 * N + a) * K + i];
-                                for (int j = 0; j < K; j++)
-                                    c_ai += inv_curv[(a * K + i) * K + j]
-                                        * mu_f[j];
-                                flux[i] -= scalf * (c_l[i] - c_ai);
-                            }
-                        }
-                    }
-                    for (int i = 0; i < K; i++) rhs[i] += s * flux[i] / dx;
+                    const i64 f = si == 0 ? lower + fstep[d] : lower;
+                    for (int i = 0; i < K; i++)
+                        rhs[i] += s * fx[f * K + i] / dx;
                 }
             }
 
@@ -650,8 +795,68 @@ void repro_mu_step(
     }
     free(cmin_c);
     free(cmin_f);
+    free(flags);
+    free(flux_d);
+    free(flux_at);
+    return 0;
 }
 """
+
+# Exported entry points: the alloy's (N, K) runs the specialized
+# instance, anything else the generic one.  Both return 0, or 1 when a
+# scratch allocation failed (before any input was read).
+_C_ENTRY = r"""
+int repro_phi_step(
+    const double *phi, const double *mu, const double *tg, double *out,
+    const i64 *geom, const double *scal,
+    const double *gamma, const double *tau, const double *inv_curv,
+    const double *c_eq, const double *c_slope, const double *latent,
+    const double *diff, int shortcuts)
+{
+    (void)diff;
+    if (geom[4] == SPEC_N && geom[5] == SPEC_K)
+        return phi_sweep_spec(phi, mu, tg, out, geom, scal, gamma, tau,
+                              inv_curv, c_eq, c_slope, latent, shortcuts);
+    return phi_sweep_any(phi, mu, tg, out, geom, scal, gamma, tau,
+                         inv_curv, c_eq, c_slope, latent, shortcuts);
+}
+
+int repro_mu_step(
+    const double *mu, const double *phi_src, const double *phi_dst,
+    const double *t_old, const double *t_new, double *out,
+    const i64 *geom, const double *scal,
+    const double *inv_curv, const double *c_eq, const double *c_slope,
+    const double *diff, int anti_trapping, int shortcuts,
+    int include_at, int only_at)
+{
+    if (geom[4] == SPEC_N && geom[5] == SPEC_K)
+        return mu_sweep_spec(mu, phi_src, phi_dst, t_old, t_new, out, geom,
+                             scal, inv_curv, c_eq, c_slope, diff,
+                             anti_trapping, shortcuts, include_at, only_at);
+    return mu_sweep_any(mu, phi_src, phi_dst, t_old, t_new, out, geom,
+                        scal, inv_curv, c_eq, c_slope, diff,
+                        anti_trapping, shortcuts, include_at, only_at);
+}
+"""
+
+
+def _instantiate(name: str, nph: str, nsol: str) -> str:
+    """The sweep template with NPH/NSOL bound and its functions named."""
+    return (
+        f"\n#define NPH {nph}\n#define NSOL {nsol}\n"
+        f"#define PHI_SWEEP phi_sweep_{name}\n"
+        f"#define MU_SWEEP mu_sweep_{name}\n"
+        + _C_SWEEPS
+        + "#undef NPH\n#undef NSOL\n#undef PHI_SWEEP\n#undef MU_SWEEP\n"
+    )
+
+
+_C_SOURCE = (
+    _C_PRELUDE
+    + _instantiate("spec", "SPEC_N", "SPEC_K")
+    + _instantiate("any", "((int)geom[4])", "((int)geom[5])")
+    + _C_ENTRY
+)
 
 _CC_CANDIDATES = ("cc", "gcc", "clang")
 
@@ -796,16 +1001,25 @@ def _ptr(arr: np.ndarray, ctype: str = "const double *"):
     return _ffi.cast(ctype, arr.ctypes.data)
 
 
+def _check(status: int, sweep: str, geom) -> None:
+    """Raise when the C sweep could not allocate its scratch."""
+    if status:
+        raise MemoryError(
+            f"compiled {sweep} sweep could not allocate its scratch "
+            f"(geom={[int(g) for g in geom]})"
+        )
+
+
 def phi_step_raw(phi, mu, tg, out, geom, scal, gamma, tau, inv_curv,
                  c_eq, c_slope, latent, diff, shortcuts):
     """Flat-array phi sweep (same signature as ``loops.phi_cellwise``)."""
-    lib = _team_lib()
-    lib.repro_phi_step(
+    status = _team_lib().repro_phi_step(
         _ptr(phi), _ptr(mu), _ptr(tg), _ptr(out, "double *"),
         _ptr(geom, "const long long *"), _ptr(scal),
         _ptr(gamma), _ptr(tau), _ptr(inv_curv), _ptr(c_eq),
         _ptr(c_slope), _ptr(latent), _ptr(diff), int(shortcuts),
     )
+    _check(status, "phi", geom)
     return out
 
 
@@ -813,11 +1027,11 @@ def mu_step_raw(mu, phi_src, phi_dst, t_old, t_new, out, geom, scal,
                 inv_curv, c_eq, c_slope, diff,
                 anti_trapping, shortcuts, include_at, only_at):
     """Flat-array mu sweep (same signature as ``loops.mu_cellwise``)."""
-    lib = _team_lib()
-    lib.repro_mu_step(
+    status = _team_lib().repro_mu_step(
         _ptr(mu), _ptr(phi_src), _ptr(phi_dst), _ptr(t_old), _ptr(t_new),
         _ptr(out, "double *"), _ptr(geom, "const long long *"), _ptr(scal),
         _ptr(inv_curv), _ptr(c_eq), _ptr(c_slope), _ptr(diff),
         int(anti_trapping), int(shortcuts), int(include_at), int(only_at),
     )
+    _check(status, "mu", geom)
     return out

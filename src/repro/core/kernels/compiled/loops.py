@@ -1,12 +1,16 @@
 """Per-cell loop bodies of the compiled rungs (backend-neutral).
 
-These two functions are the *single source* of the compiled kernels'
-algorithm: :mod:`repro.core.kernels.compiled.numba_backend` wraps them
-with ``numba.njit(parallel=True, fastmath=False)`` unchanged, and the C
-source generated by :mod:`repro.core.kernels.compiled.cffi_backend` is a
-line-for-line transcription of the same loops.  They also run un-jitted
-(slowly) so the algorithm itself stays testable in environments without
-either backend.
+These two functions are the arithmetic spec of the compiled kernels and
+their bitwise oracle: :mod:`repro.core.kernels.compiled.numba_backend`
+wraps them with ``numba.njit(parallel=True, fastmath=False)`` unchanged,
+and the C of :mod:`repro.core.kernels.compiled.cffi_backend` performs the
+same floating-point operations in the same order, specialized to the
+alloy's numbers of phases and solutes and with each mu face flux
+evaluated once instead of from both sides (a face term is symmetric in
+its two cells, so the bits do not change).  The compiled suite checks
+the C output ``np.array_equal`` to these loops run un-jitted — which
+they do (slowly), so the algorithm itself stays testable in environments
+without either backend.
 
 Layout conventions (identical for both backends):
 

@@ -55,7 +55,7 @@ class Functor:
 
     Every invocation — including one that raises — updates *all* the
     accumulators together (``calls``, ``seconds`` and the extrema), so
-    ``seconds / calls`` read from a timing report after a crash is a true
+    ``total / calls`` read from a timing report after a crash is a true
     per-invocation average.  (An earlier version accumulated ``seconds``
     for failing invocations but bumped ``calls`` only on success, which
     silently inflated averages whenever the guard/rollback path raised.)
@@ -187,8 +187,7 @@ class Timeloop:
         Per functor: ``calls``, ``total`` / ``avg`` / ``min`` / ``max``
         seconds and the ``category``; plus per-category totals and the
         completed/aborted step counts.  This dict (not the ``Functor``
-        fields) is the supported way to read timings; ``seconds`` is kept
-        as a deprecated alias of ``total``.
+        fields) is the supported way to read timings.
         """
         per_functor = {
             f.name: {
@@ -198,8 +197,6 @@ class Timeloop:
                 "avg": f.seconds / f.calls if f.calls else 0.0,
                 "min": f.min_seconds if f.calls else 0.0,
                 "max": f.max_seconds,
-                # deprecated alias (pre-telemetry callers)
-                "seconds": f.seconds,
             }
             for f in self._functors
         }

@@ -5,9 +5,12 @@ kernels to find that, although fully vectorized, the mu-kernel cannot
 exceed ~43 % of peak because of add/multiply imbalance and division
 latency.  This module reproduces that style of analysis from a *static
 operation count* of the model equations: it tallies adds, multiplies,
-divides and square roots per cell update for both kernels (as implemented
-by the buffered rung) and derives a port-pressure bound for a generic
-2-port (add + mul), 4-wide SIMD core.
+divides and square roots per cell update for both kernels and derives a
+port-pressure bound for a generic 2-port (add + mul), 4-wide SIMD core.
+Face fluxes are costed once per face (``dim`` faces per cell), which is
+how the buffered NumPy rung evaluates both sweeps and how the compiled
+rungs evaluate the mu sweep (staggered face buffers); the compiled phi
+sweep stays cellwise and evaluates each face from both sides.
 
 The counts are validated against the dynamic instrumentation of
 :mod:`repro.perf.flopcount` in the test suite.
@@ -48,7 +51,7 @@ class KernelCost:
 
 
 def phi_kernel_cost(n_phases: int = 4, n_solutes: int = 2, dim: int = 3) -> KernelCost:
-    """Per-cell cost of the phi sweep (buffered rung, no shortcuts).
+    """Per-cell cost of the phi sweep (buffered NumPy rung, no shortcuts).
 
     Terms: centred gradients, pairwise gradient-energy dA/dphi, buffered
     face fluxes of the divergence (each face costed once, i.e. ``dim``
@@ -98,7 +101,10 @@ def phi_kernel_cost(n_phases: int = 4, n_solutes: int = 2, dim: int = 3) -> Kern
 
 
 def mu_kernel_cost(n_phases: int = 4, n_solutes: int = 2, dim: int = 3) -> KernelCost:
-    """Per-cell cost of the mu sweep (buffered rung, anti-trapping on).
+    """Per-cell cost of the mu sweep (face-buffered, anti-trapping on).
+
+    Describes the buffered NumPy rung and the compiled mu sweep alike:
+    both evaluate each face flux once.
 
     Dominated by the staggered face values of ``M grad mu - J_at``
     (the quantity the paper's staggered buffer halves): mobility

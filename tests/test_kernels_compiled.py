@@ -1,6 +1,6 @@
 """Tests of the compiled kernel rungs and their backend selection.
 
-Three layers are pinned here:
+Four layers are pinned here:
 
 * the backend-neutral per-cell loop bodies (pure Python, always
   testable) against the reference kernel,
@@ -9,7 +9,9 @@ Three layers are pinned here:
   which must behave sensibly whether or not a backend exists,
 * the live backend (numba or generated-C/cffi), when one is usable:
   registry-invoked equivalence, the split mu sweep of the overlap
-  schedule, warmup, and end-to-end solver integration.
+  schedule, warmup, and end-to-end solver integration,
+* the generated C library itself (when it builds), bitwise against the
+  interpreted loop bodies, plus its scratch-allocation failure path.
 """
 
 import warnings
@@ -28,6 +30,7 @@ from repro.core.kernels import (
     rung_available,
 )
 from repro.core.kernels import compiled
+from repro.core.kernels.compiled import cffi_backend
 from repro.core.scenarios import fill_ghosts_periodic, make_scenario
 
 HAVE_BACKEND = compiled.available()
@@ -224,6 +227,147 @@ class TestCompiledBackend:
             np.testing.assert_allclose(
                 out_mu, ref_mu, atol=1e-11, err_msg=rung
             )
+
+
+def _flat_case(shape, seed=2):
+    """Flat kernel inputs of an interface scenario, plus a phi_dst one
+    explicit step ahead (so the anti-trapping current is non-zero)."""
+    phi, mu, tg, system, params = make_scenario(
+        "interface", shape, seed=seed
+    )
+    ctx = make_context(system, params)
+    phi_dst = phi.copy()
+    phi_dst[(slice(None),) + (slice(1, -1),) * len(shape)] = get_phi_kernel(
+        "buffered"
+    )(ctx, phi, mu, tg)
+    fill_ghosts_periodic(phi_dst, len(shape))
+    pk = compiled._pack(ctx)
+    geom, interior = compiled._geometry(ctx, phi.shape[1:])
+    f = compiled._flat64
+    return dict(
+        n_phases=ctx.n_phases, n_solutes=ctx.n_solutes, pk=pk, geom=geom,
+        cells=int(np.prod(interior)),
+        phi=f(phi), mu=f(mu), tg=f(tg), t_new=f(tg - 0.015),
+        phi_dst=f(phi_dst),
+    )
+
+
+def _phi_sweep(impl, s, shortcuts):
+    pk = s["pk"]
+    out = np.empty(s["n_phases"] * s["cells"])
+    impl(s["phi"], s["mu"], s["tg"], out, s["geom"], pk["scal"],
+         pk["gamma"], pk["tau"], pk["inv_curv"], pk["c_eq"], pk["c_slope"],
+         pk["latent"], pk["diff"], shortcuts)
+    return out
+
+
+def _mu_sweep(impl, s, shortcuts, include_at, only_at, seed=None):
+    pk = s["pk"]
+    if seed is None:
+        out = np.empty(s["n_solutes"] * s["cells"])
+    else:
+        out = seed.copy()
+    t_new = s["tg"] if only_at else s["t_new"]
+    impl(s["mu"], s["phi"], s["phi_dst"], s["tg"], t_new, out, s["geom"],
+         pk["scal"], pk["inv_curv"], pk["c_eq"], pk["c_slope"], pk["diff"],
+         pk["anti_trapping"], shortcuts, include_at, only_at)
+    return out
+
+
+def _assert_bitwise(got, want, what):
+    assert np.array_equal(got, want), what
+    assert np.array_equal(np.signbit(got), np.signbit(want)), what
+
+
+@pytest.mark.skipif(
+    not cffi_backend.available(), reason="C kernel library not available"
+)
+class TestCBackendBitwise:
+    """The C sweeps are specialized to the alloy and evaluate each mu face
+    flux once; neither may move a bit against the interpreted loop spec
+    (a reordered face sum would hide inside an allclose tolerance)."""
+
+    @pytest.mark.parametrize("shape", [(4, 5, 7), (4, 1, 7), (6, 9)])
+    @pytest.mark.parametrize("shortcuts", [0, 1])
+    def test_sweeps_equal_loop_spec(self, shape, shortcuts):
+        from repro.core.kernels.compiled import loops
+
+        s = _flat_case(shape)
+        _assert_bitwise(
+            _phi_sweep(cffi_backend.phi_step_raw, s, shortcuts),
+            _phi_sweep(loops.phi_cellwise, s, shortcuts), "phi",
+        )
+        want = {}
+        for name, impl in (("C", cffi_backend.mu_step_raw),
+                           ("loops", loops.mu_cellwise)):
+            full = _mu_sweep(impl, s, shortcuts, 1, 0)
+            local = _mu_sweep(impl, s, shortcuts, 0, 0)
+            split = _mu_sweep(impl, s, shortcuts, 1, 1, seed=local)
+            want[name] = (full, local, split)
+        assert not np.array_equal(want["loops"][0], want["loops"][1]), (
+            "the case must carry an anti-trapping current"
+        )
+        for what, got, ref in zip(("full", "local", "split-AT"),
+                                  want["C"], want["loops"]):
+            _assert_bitwise(got, ref, f"mu {what}")
+
+    def test_generic_instance_equals_loop_spec(self):
+        """An alloy other than (N, K) = (4, 2) runs the unspecialized
+        instance of the same C template."""
+        from repro.core.kernels.compiled import loops
+
+        n, k, shape = 3, 3, (4, 5, 6)
+        rng = np.random.default_rng(7)
+        ghosted = tuple(e + 2 for e in shape)
+        phi = rng.random((n,) + ghosted) ** 4
+        phi[..., : ghosted[-1] // 2] = 0.0  # bulk liquid on the low half
+        phi[n - 1, ..., : ghosted[-1] // 2] = 1.0
+        phi /= phi.sum(axis=0)
+        phi_dst = np.clip(phi + 1e-3 * rng.standard_normal(phi.shape), 0, 1)
+        a = rng.standard_normal((n, k, k))
+        inv_curv = np.einsum("aij,akj->aik", a, a) + np.eye(k)
+        gamma = rng.random((n, n))
+        gamma = gamma + gamma.T
+        np.fill_diagonal(gamma, 0.0)
+        pk = dict(
+            scal=np.array([1.0, 0.01, 4.0, 0.5, 1.0]),
+            gamma=gamma.ravel(), tau=rng.random(n) + 0.5,
+            inv_curv=inv_curv.ravel(), c_eq=rng.random(n * k),
+            c_slope=rng.random(n * k), latent=rng.random(n),
+            diff=rng.random(n), anti_trapping=1,
+        )
+        tg = 1.0 + 0.01 * rng.standard_normal(ghosted[-1])
+        s = dict(
+            n_phases=n, n_solutes=k, pk=pk,
+            geom=np.array([1, *shape, n, k, n - 1], dtype=np.int64),
+            cells=int(np.prod(shape)), phi=phi.ravel(),
+            mu=0.1 * rng.standard_normal((k,) + ghosted).ravel(),
+            tg=tg, t_new=tg - 0.01, phi_dst=phi_dst.ravel(),
+        )
+        for shortcuts in (0, 1):
+            _assert_bitwise(
+                _phi_sweep(cffi_backend.phi_step_raw, s, shortcuts),
+                _phi_sweep(loops.phi_cellwise, s, shortcuts), "phi",
+            )
+            for include_at in (0, 1):
+                _assert_bitwise(
+                    _mu_sweep(cffi_backend.mu_step_raw, s, shortcuts,
+                              include_at, 0),
+                    _mu_sweep(loops.mu_cellwise, s, shortcuts,
+                              include_at, 0),
+                    f"mu include_at={include_at}",
+                )
+
+    def test_failed_scratch_allocation_raises(self):
+        """A geometry whose scratch cannot be allocated raises before the
+        (here far too small) input arrays are read."""
+        s = _flat_case((2, 2, 2))
+        s["geom"] = s["geom"].copy()
+        s["geom"][1:4] = (1, 1, 1 << 50)
+        with pytest.raises(MemoryError, match="phi sweep"):
+            _phi_sweep(cffi_backend.phi_step_raw, s, 1)
+        with pytest.raises(MemoryError, match="mu sweep"):
+            _mu_sweep(cffi_backend.mu_step_raw, s, 1, 1, 0)
 
 
 @needs_backend

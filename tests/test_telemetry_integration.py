@@ -63,7 +63,6 @@ class TestTimeloopTreeAgreement:
         assert set(row) >= {"category", "calls", "total", "avg", "min", "max"}
         assert row["calls"] == 3
         assert row["min"] <= row["avg"] <= row["max"]
-        assert row["seconds"] == row["total"]  # deprecated alias
 
 
 class TestCountersAndHeartbeat:
