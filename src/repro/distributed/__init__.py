@@ -6,7 +6,7 @@ communication-hiding schedule (mu exchange hidden behind the phi sweep,
 phi exchange hidden behind the split local mu sweep).
 """
 
-from repro.distributed.exchange import exchange_ghosts
+from repro.distributed.exchange import exchange_block_ghosts
 from repro.distributed.solver import DistributedSimulation
 
-__all__ = ["exchange_ghosts", "DistributedSimulation"]
+__all__ = ["exchange_block_ghosts", "DistributedSimulation"]

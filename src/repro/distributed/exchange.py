@@ -1,31 +1,30 @@
 """Ghost-layer exchange between rank-local blocks.
 
-The exchange proceeds axis by axis; each slab message spans the *full
-ghosted extent* of the previously exchanged axes, so edge and corner ghost
-cells arrive without dedicated diagonal messages — the standard
+The exchange proceeds axis by axis; each slab spans the *full ghosted
+extent* of the previously exchanged axes, so edge and corner ghost cells
+arrive without dedicated diagonal messages — the standard
 dimensional-ordering trick, required because the mu sweep reads the D3C19
 (edge-diagonal) neighbourhood.
 
 At non-periodic domain edges the axis has no neighbour; the caller's
 boundary handler fills those ghosts instead.
 
-Both routines post every receive *before* the matching sends (Algorithm
-2's discipline).  The thread backend would tolerate any ordering because
-its mailboxes buffer unboundedly, but the process backend bounds
-in-flight payloads per channel, and there posting receives first is what
-guarantees progress (see :mod:`repro.simmpi.transport`).
+Remote slabs travel through the persistent registered halo channels of
+:mod:`repro.distributed.halo`, the only ghost transport — as waLBerla's
+preregistered block buffers are in the paper.  Every round first packs
+and notifies all outgoing channels of an axis and only then waits on the
+incoming ones; a notify does not wait for its receiver, so the ranks
+need no agreed send/receive order to make progress.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
+from repro.distributed.halo import BlockHaloRegistry
 from repro.grid.boundary import BoundarySpec
-from repro.simmpi.cart import CartComm
 
-__all__ = ["exchange_ghosts", "exchange_block_ghosts", "ExchangeTimer"]
+__all__ = ["exchange_block_ghosts", "ExchangeTimer"]
 
 
 class ExchangeTimer:
@@ -77,24 +76,6 @@ class ExchangeTimer:
         }
 
 
-def _slab(arr: np.ndarray, dim: int, k: int, which: str, g: int = 1):
-    """Slice tuple of an exchange slab along spatial axis *k*.
-
-    ``which`` is one of ``send_lo`` / ``send_hi`` (interior edges) or
-    ``recv_lo`` / ``recv_hi`` (ghost layers).  All other axes keep their
-    full ghosted extent.
-    """
-    ax = arr.ndim - dim + k
-    sl = [slice(None)] * arr.ndim
-    sl[ax] = {
-        "send_lo": slice(g, 2 * g),
-        "send_hi": slice(-2 * g, -g),
-        "recv_lo": slice(0, g),
-        "recv_hi": slice(-g, None),
-    }[which]
-    return tuple(sl)
-
-
 def _validate_ghost(arr: np.ndarray, dim: int, g: int) -> None:
     """Reject ghost widths the slab geometry cannot express.
 
@@ -116,107 +97,13 @@ def _validate_ghost(arr: np.ndarray, dim: int, g: int) -> None:
             )
 
 
-def _recv_completions(comm):
-    """The receive-posting/completion pair of one exchange.
-
-    Prefers ``irecv_into`` (both simmpi backends): the payload lands in
-    the ghost slice in a single copy — on the process backend straight
-    out of the staged shared-memory segment, eliminating the legacy
-    materialize-then-assign double copy.  Falls back to
-    ``irecv``/``wait`` + slab assignment for foreign communicators.
-    """
-    irecv_into = getattr(comm, "irecv_into", None)
-    if irecv_into is not None:
-        return (lambda view, source, tag: irecv_into(view, source, tag),
-                lambda _view, req: req.wait())
-
-    def post(view, source, tag):
-        return comm.irecv(source, tag=tag)
-
-    def complete(view, req):
-        view[...] = req.wait()
-
-    return post, complete
-
-
-def exchange_ghosts(
-    cart: CartComm,
-    arr: np.ndarray,
-    dim: int,
-    spec: BoundarySpec,
-    *,
-    tag_base: int = 0,
-    timer: ExchangeTimer | None = None,
-    ghost: int = 1,
-    halo=None,
-) -> None:
-    """Fill all ghost layers of *arr* from neighbours or boundaries.
-
-    *spec* provides the handlers for non-periodic domain edges; periodic
-    axes wrap through the cartesian topology (which may be a
-    self-neighbour when the axis has a single rank).  *ghost* is the
-    field's ghost-layer width (it must match the array's allocation).
-    *halo* — a :class:`repro.distributed.halo.CartHaloRegistry` — routes
-    the axis rounds through persistent registered channels instead of
-    staged per-slab messages (one notify per neighbour per direction,
-    no acks); results are bitwise identical.
-    """
-    comm = cart.comm
-    g = int(ghost)
-    _validate_ghost(arr, dim, g)
-    t0 = time.perf_counter()
-    nbytes = 0
-    nmsg = 0
-    post, complete = _recv_completions(comm) if halo is None else (None, None)
-    for k in range(dim):
-        lo_rank, hi_rank = cart.shift(k, 1)  # (source=low side, dest=high side)
-        if halo is not None:
-            b, m = halo.exchange_axis(arr, k, g)
-            nbytes += b
-            nmsg += m
-        else:
-            tag_lo = tag_base + 2 * k
-            tag_hi = tag_base + 2 * k + 1
-            # Post receives BEFORE sending (Algorithm 2 discipline).  The
-            # thread backend buffers unboundedly so ordering is cosmetic
-            # there, but under the process backend's bounded channels a
-            # blocked sender only makes progress by completing the *peer's*
-            # posted receives — send-first would genuinely deadlock once a
-            # slab exceeds the channel capacity.
-            reqs = []
-            if lo_rank is not None:
-                view = arr[_slab(arr, dim, k, "recv_lo", g)]
-                reqs.append((view, post(view, lo_rank, tag_hi)))
-            if hi_rank is not None:
-                view = arr[_slab(arr, dim, k, "recv_hi", g)]
-                reqs.append((view, post(view, hi_rank, tag_lo)))
-            # Send the (possibly strided) slab views directly: both backends
-            # snapshot the payload at send time, so an extra
-            # ascontiguousarray here would just double the copies.
-            if hi_rank is not None:
-                payload = arr[_slab(arr, dim, k, "send_hi", g)]
-                comm.send(payload, hi_rank, tag=tag_hi)
-                nbytes += payload.nbytes
-                nmsg += 1
-            if lo_rank is not None:
-                payload = arr[_slab(arr, dim, k, "send_lo", g)]
-                comm.send(payload, lo_rank, tag=tag_lo)
-                nbytes += payload.nbytes
-                nmsg += 1
-            for view, req in reqs:
-                complete(view, req)
-        # non-periodic domain edges: boundary handlers
-        lo_h, hi_h = spec.handlers[k]
-        if lo_rank is None:
-            lo_h.apply(arr, dim, k, 0)
-        if hi_rank is None:
-            hi_h.apply(arr, dim, k, 1)
-    if timer is not None:
-        timer.add(time.perf_counter() - t0, nbytes, nmsg)
-
-
-def _owner_of(owner: list[int], block_id: int) -> int:
-    return owner[block_id]
+def _streams(arrays: dict[int, np.ndarray], dim: int, g: int) -> list:
+    """``(n_components, ghost)`` field streams of *arrays* (channel sizing)."""
+    streams = {
+        (int(np.prod(arr.shape[:arr.ndim - dim])), g)
+        for arr in arrays.values()
+    }
+    return sorted(streams) or [(1, g)]
 
 
 def exchange_block_ghosts(
@@ -230,93 +117,33 @@ def exchange_block_ghosts(
     tag_base: int = 1000,
     timer: ExchangeTimer | None = None,
     ghost: int = 1,
-    halo=None,
+    halo: BlockHaloRegistry | None = None,
 ) -> None:
     """Ghost exchange for several blocks per rank (waLBerla style).
 
     *arrays* maps this rank's block ids to their ghosted field arrays.
     Neighbouring blocks on the same rank exchange by direct memory copy;
-    remote neighbours by messages tagged with the *receiving* block id, so
-    any number of blocks per rank coexist on one communicator.  Axes are
-    processed in dimensional order across all local blocks, keeping edge
-    and corner ghosts consistent.
+    remote neighbours through halo channels, one packed buffer and one
+    notify per (peer rank, axis, direction).  Axes are processed in
+    dimensional order across all local blocks, keeping edge and corner
+    ghosts consistent.
 
-    *ghost* is the fields' ghost-layer width.  *halo* — a
-    :class:`repro.distributed.halo.BlockHaloRegistry` — takes over the
-    whole exchange through persistent registered channels: all slabs
-    headed to one neighbour in one axis direction travel as a single
-    packed buffer plus one notify, no per-message acks or segment
-    checkouts, bitwise-identical results.
+    *ghost* is the fields' ghost-layer width.  *halo* is the
+    :class:`~repro.distributed.halo.BlockHaloRegistry` of this
+    decomposition, registered once and reused by every call — the
+    solver's steady state.  Without one, a registry sized from *arrays*
+    is built for this call alone, which is collective over *comm* and
+    costs a channel registration per call (on the process backend also
+    slot segments that live until the rank exits).  *tag_base* is
+    accepted and ignored: channels derive their tags from the topology,
+    and the argument stays so that callers written for per-slab
+    messages keep working.
     """
     g = int(ghost)
     for arr in arrays.values():
         _validate_ghost(arr, dim, g)
-    if halo is not None:
-        halo.exchange(arrays, spec, ghost=g, timer=timer)
-        return
-    t0 = time.perf_counter()
-    nbytes = 0
-    nmsg = 0
-    rank = comm.rank
-    post, complete = _recv_completions(comm)
-    for k in range(dim):
-        # 1) post all remote receives for this axis first — required for
-        #    deadlock freedom under the process backend's bounded
-        #    channels (a blocked sender completes the peer's posted
-        #    receives while waiting for a free slot).
-        reqs = []
-        for bid, arr in arrays.items():
-            block = forest.blocks[bid]
-            for side, recv_which in ((0, "recv_lo"), (1, "recv_hi")):
-                nb = forest.neighbor(block, k, side)
-                if nb is None or _owner_of(owner, nb.id) == rank:
-                    continue
-                tag = tag_base + (bid * dim + k) * 2 + side
-                view = arr[_slab(arr, dim, k, recv_which, g)]
-                reqs.append((
-                    view, post(view, _owner_of(owner, nb.id), tag),
-                ))
-        # 2) post all remote sends (slab views; both backends snapshot
-        #    at send time, so no ascontiguousarray copy is needed)
-        for bid, arr in arrays.items():
-            block = forest.blocks[bid]
-            for side, send_which, dest_side in (
-                (1, "send_hi", 0),  # my high edge fills neighbour's low ghost
-                (0, "send_lo", 1),
-            ):
-                nb = forest.neighbor(block, k, side)
-                if nb is None:
-                    continue
-                dest_rank = _owner_of(owner, nb.id)
-                if dest_rank == rank:
-                    continue  # handled by the local-copy pass
-                payload = arr[_slab(arr, dim, k, send_which, g)]
-                tag = tag_base + (nb.id * dim + k) * 2 + dest_side
-                comm.send(payload, dest_rank, tag=tag)
-                nbytes += payload.nbytes
-                nmsg += 1
-        # 3) local copies between same-rank neighbours
-        for bid, arr in arrays.items():
-            block = forest.blocks[bid]
-            for side, recv_which in ((0, "recv_lo"), (1, "recv_hi")):
-                nb = forest.neighbor(block, k, side)
-                if nb is None or _owner_of(owner, nb.id) != rank:
-                    continue
-                src = arrays[nb.id]
-                send_which = "send_hi" if side == 0 else "send_lo"
-                arr[_slab(arr, dim, k, recv_which, g)] = src[
-                    _slab(src, dim, k, send_which, g)
-                ]
-        # 4) complete the posted receives for this axis
-        for view, req in reqs:
-            complete(view, req)
-        # 5) boundary handlers at non-periodic domain edges
-        lo_h, hi_h = spec.handlers[k]
-        for bid, arr in arrays.items():
-            block = forest.blocks[bid]
-            if forest.neighbor(block, k, 0) is None:
-                lo_h.apply(arr, dim, k, 0)
-            if forest.neighbor(block, k, 1) is None:
-                hi_h.apply(arr, dim, k, 1)
-    if timer is not None:
-        timer.add(time.perf_counter() - t0, nbytes, nmsg)
+    if halo is None:
+        halo = BlockHaloRegistry(
+            comm, forest, owner, dim, streams=_streams(arrays, dim, g),
+        )
+    halo.exchange(arrays, spec, ghost=g, timer=timer)

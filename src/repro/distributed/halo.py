@@ -1,10 +1,10 @@
-"""Persistent registered halo channels over the simmpi backends.
+"""Persistent registered halo channels: the ghost-exchange transport.
 
-The legacy exchange path pays, per slab message and per step, a staging
-segment checkout, a pickle or ``copyto`` snapshot, a control-pipe round
-trip and an ack (process backend), plus a receive-side copy into the
-ghost slice.  This module moves all of that to *setup time*, mirroring
-waLBerla's preregistered communication buffers and the MPI
+A staged point-to-point message pays, per payload and per step, a
+staging segment checkout, a pickle or ``copyto`` snapshot, a
+control-pipe round trip and an ack (process backend), plus a
+receive-side copy.  Ghost exchange moves all of that to *setup time*,
+mirroring waLBerla's preregistered communication buffers and the MPI
 persistent-request idiom the paper's production code relies on: at
 topology construction every rank registers one double-buffered channel
 per (neighbour, axis, direction) — a shared-memory segment on the
@@ -15,8 +15,7 @@ A steady-state exchange round then packs the slab views of *all* fields
 and blocks headed to one neighbour in one axis direction into the
 registered buffer (vectorized, contiguous), sends **one** tiny notify
 message carrying a sequence number, and unpacks on the receiver straight
-into the ghost slices: ``2 * dim * n_fields`` staged messages plus acks
-per step collapse into one notification per neighbour per axis
+into the ghost slices: one notification per neighbour per axis
 direction, with zero acks and zero segment checkouts.
 
 Slot reuse without acks is safe because exchange rounds are lockstep —
@@ -26,35 +25,42 @@ violation of that discipline into a loud ``RuntimeError`` instead of a
 silent stale-data unpack.
 
 Both sides derive channel ids, capacities and pack plans
-deterministically from the shared topology (block forest + ownership, or
-cartesian grid), so registration needs no negotiation: every rank first
-announces all its send channels (non-blocking) and then accepts all its
-receive channels (blocking), which is deadlock-free in any order.
+deterministically from the shared topology (block forest + ownership),
+so registration needs no negotiation: every rank first announces all its
+send channels (non-blocking) and then accepts all its receive channels
+(blocking), which is deadlock-free in any order.
 
-``REPRO_SIMMPI_HALO_CHANNELS=0`` opts out (for A/B benchmarking against
-the legacy staged path); the default is on.
+Fault injection acts on these channels as well:
+:class:`repro.resilience.faults.FaultyComm` wraps the send endpoints it
+registers, so dropped, corrupted and delayed ghost rounds hit the same
+transport every production run uses.
 """
 
 from __future__ import annotations
 
-import os
+import time
 
 import numpy as np
 
-from repro.distributed.exchange import _slab
-
-__all__ = [
-    "BlockHaloRegistry",
-    "CartHaloRegistry",
-    "halo_channels_enabled",
-]
+__all__ = ["BlockHaloRegistry"]
 
 
-def halo_channels_enabled(override: bool | None = None) -> bool:
-    """Resolve the halo-channel switch (param beats env, default on)."""
-    if override is not None:
-        return bool(override)
-    return os.environ.get("REPRO_SIMMPI_HALO_CHANNELS", "1") not in ("", "0")
+def _slab(arr: np.ndarray, dim: int, k: int, which: str, g: int = 1):
+    """Slice tuple of an exchange slab along spatial axis *k*.
+
+    ``which`` is one of ``send_lo`` / ``send_hi`` (interior edges) or
+    ``recv_lo`` / ``recv_hi`` (ghost layers).  All other axes keep their
+    full ghosted extent.
+    """
+    ax = arr.ndim - dim + k
+    sl = [slice(None)] * arr.ndim
+    sl[ax] = {
+        "send_lo": slice(g, 2 * g),
+        "send_hi": slice(-2 * g, -g),
+        "recv_lo": slice(0, g),
+        "recv_hi": slice(-g, None),
+    }[which]
+    return tuple(sl)
 
 
 def _slab_elements(n_comps: int, shape, axis: int, g: int) -> int:
@@ -113,10 +119,9 @@ class BlockHaloRegistry:
     sizes the channels once for the largest stream.  Construction is
     collective over the communicator.
 
-    :meth:`exchange` is the drop-in fast path of
-    :func:`repro.distributed.exchange.exchange_block_ghosts`: identical
-    dimensional ordering, identical local-copy and boundary handling,
-    bitwise-identical results — only the remote transport differs.
+    :meth:`exchange` is the body of
+    :func:`repro.distributed.exchange.exchange_block_ghosts`, which
+    builds a one-call registry when the caller has none.
     """
 
     def __init__(self, comm, forest, owner, dim: int, streams,
@@ -199,9 +204,7 @@ class BlockHaloRegistry:
                  ghost: int = 1, timer=None) -> None:
         """Fill every ghost layer of *arrays* through the registered
         channels; same contract as ``exchange_block_ghosts``."""
-        import time as _time
-
-        t0 = _time.perf_counter()
+        t0 = time.perf_counter()
         g = int(ghost)
         dim = self.dim
         itemsize = next(iter(arrays.values())).itemsize if arrays else 8
@@ -209,8 +212,7 @@ class BlockHaloRegistry:
         nmsg = 0
         for k in range(dim):
             # 1) pack + notify every outgoing channel of this axis (the
-            #    snapshot happens here, exactly where the legacy path
-            #    snapshots its sends, so results match bitwise).
+            #    packed slot is the snapshot of this round's edges).
             for (peer, axis, side), ch in self._send_by_axis[k]:
                 which = "send_hi" if side == 1 else "send_lo"
                 used = _pack(ch.slot(), (
@@ -245,95 +247,4 @@ class BlockHaloRegistry:
             for bid, side in self._edges[k]:
                 (lo_h if side == 0 else hi_h).apply(arrays[bid], dim, k, side)
         if timer is not None:
-            timer.add(_time.perf_counter() - t0, nbytes, nmsg)
-
-
-class CartHaloRegistry:
-    """Halo channels of a one-block-per-rank cartesian decomposition.
-
-    The fast-path twin of
-    :func:`repro.distributed.exchange.exchange_ghosts`: one channel per
-    (neighbour, axis, direction) derived from ``cart.shift``, with
-    self-neighbours (single-rank periodic axes) handled by direct
-    interior-to-ghost copies.  *spatial_shape* is the local interior
-    cell count, *streams* the ``(n_components, ghost)`` field streams
-    sharing the channels.
-    """
-
-    def __init__(self, cart, dim: int, spatial_shape, streams,
-                 dtype=np.float64) -> None:
-        self.cart = cart
-        self.comm = cart.comm
-        self.dim = int(dim)
-        self.shape = tuple(int(s) for s in spatial_shape)
-        self.streams = [(int(c), int(g)) for c, g in streams]
-        if not self.streams:
-            raise ValueError("halo registry needs at least one field stream")
-        rank = self.comm.rank
-        # links[k] = (lo_rank, hi_rank); None at non-periodic edges.
-        self._links = [cart.shift(k, 1) for k in range(self.dim)]
-        sends = []   # (axis, side, dest)
-        recvs = []   # (axis, side_of_sender, source)
-        for k, (lo, hi) in enumerate(self._links):
-            if hi is not None and hi != rank:
-                sends.append((k, 1, hi))
-            if lo is not None and lo != rank:
-                sends.append((k, 0, lo))
-            # My low ghost is filled by the low neighbour's high edge.
-            if lo is not None and lo != rank:
-                recvs.append((k, 1, lo))
-            if hi is not None and hi != rank:
-                recvs.append((k, 0, hi))
-        self._send: dict[tuple, object] = {}
-        self._recv: dict[tuple, object] = {}
-        for k, side, dest in sorted(sends):
-            cap = max(
-                _slab_elements(c, self.shape, k, g) for c, g in self.streams
-            )
-            self._send[(k, side)] = self.comm.register_halo(
-                dest, k * 2 + side, cap, dtype
-            )
-        for k, side, source in sorted(recvs):
-            self._recv[(k, side)] = self.comm.accept_halo(
-                source, k * 2 + side
-            )
-
-    @property
-    def n_channels(self) -> int:
-        """Registered channel endpoints on this rank (send + recv)."""
-        return len(self._send) + len(self._recv)
-
-    def exchange_axis(self, arr: np.ndarray, k: int,
-                      g: int = 1) -> tuple[int, int]:
-        """One axis round over the channels; returns ``(nbytes, nmsg)``.
-
-        Boundary handling at non-periodic edges stays with the caller
-        (:func:`exchange_ghosts`), which knows the boundary spec.
-        """
-        rank = self.comm.rank
-        lo, hi = self._links[k]
-        nbytes = 0
-        nmsg = 0
-        dim = self.dim
-        for side, which in ((1, "send_hi"), (0, "send_lo")):
-            ch = self._send.get((k, side))
-            if ch is None:
-                continue
-            used = _pack(ch.slot(), (arr[_slab(arr, dim, k, which, g)],))
-            ch.notify(used)
-            nbytes += used * arr.itemsize
-            nmsg += 1
-        if lo == rank and hi == rank:
-            # Single-rank periodic axis: wrap by direct copy.
-            arr[_slab(arr, dim, k, "recv_lo", g)] = arr[
-                _slab(arr, dim, k, "send_hi", g)
-            ]
-            arr[_slab(arr, dim, k, "recv_hi", g)] = arr[
-                _slab(arr, dim, k, "send_lo", g)
-            ]
-        for side, which in ((1, "recv_lo"), (0, "recv_hi")):
-            ch = self._recv.get((k, side))
-            if ch is None:
-                continue
-            _unpack(ch.wait(), (arr[_slab(arr, dim, k, which, g)],))
-        return nbytes, nmsg
+            timer.add(time.perf_counter() - t0, nbytes, nmsg)

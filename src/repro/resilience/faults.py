@@ -3,14 +3,15 @@
 A :class:`FaultPlan` is a seeded, reproducible list of faults that the
 guarded drivers consult at well-defined points: the start of each time
 step (``rank_kill`` / ``kill_rank`` / ``rank_stall`` / ``rank_slow`` /
-``nan_inject``), each outgoing message (``msg_drop`` / ``msg_corrupt``
-/ ``msg_delay``), each received staged segment (``ack_drop``, process
-backend) and each checkpoint write (``ckpt_truncate`` after commit;
-``io_enospc`` / ``io_torn_write`` during the write, exercised through
-the sharded store's retry layer).  Every fault fires **once** — the whole point of
-recovery testing is that the retry after a restart runs clean — and the
-plan records what fired, so a failing test can print the exact schedule
-(and seed) needed to reproduce it.  Scheduling the same fault K times at
+``nan_inject``), each outgoing message and each halo-channel notify
+(``msg_drop`` / ``msg_corrupt`` / ``msg_delay``), each received staged
+segment (``ack_drop``, process backend) and each checkpoint write
+(``ckpt_truncate`` after commit; ``io_enospc`` / ``io_torn_write``
+during the write, exercised through the sharded store's retry layer).
+Every fault fires **once** — the whole point of recovery testing is
+that the retry after a restart runs clean — and the plan records what
+fired, so a failing test can print the exact schedule (and seed) needed
+to reproduce it.  Scheduling the same fault K times at
 one step models a *persistent* failure that outlasts K retries.
 """
 
@@ -42,10 +43,12 @@ FAULT_KINDS = (
     "rank_slow",      # the rank pauses for `delay` seconds then continues
                       # (transient OS-jitter analog; must be harmless
                       # below the hang threshold)
-    "msg_drop",       # a ghost message is lost; the sender detects the
-                      # failed transfer and aborts (walltime-kill analog)
-    "msg_corrupt",    # a ghost message arrives NaN-poisoned
-    "msg_delay",      # a ghost message is delivered late (must be harmless)
+    "msg_drop",       # a ghost round or message is lost; the sender
+                      # detects the failed transfer and aborts
+                      # (walltime-kill analog)
+    "msg_corrupt",    # a ghost round or message arrives NaN-poisoned
+    "msg_delay",      # a ghost round or message is delivered late (must
+                      # be harmless)
     "ack_drop",       # the process transport loses one segment ack: the
                       # sender's channel slot leaks and it eventually
                       # blocks (silent-NIC analog; deadline-contained)
@@ -219,6 +222,70 @@ def poison(arr: np.ndarray) -> None:
     arr[tuple(s // 2 for s in arr.shape)] = np.nan
 
 
+def _late_notify(channel, used, delay: float) -> None:
+    """Deliver a delayed halo notify *delay* seconds from now."""
+    _time.sleep(delay)
+    try:
+        channel.notify(used)
+    except Exception:
+        # The world may be gone by delivery time; a late round into a
+        # dead run is exactly a round that never mattered.
+        logger.debug("delayed halo notify failed", exc_info=True)
+
+
+class _FaultyHaloSend:
+    """Sender endpoint of a halo channel that applies the plan's message
+    faults at :meth:`notify`, the moment a ghost round leaves the rank.
+
+    * ``msg_drop`` raises :class:`InjectedFault` on the sending rank.
+    * ``msg_corrupt`` NaN-poisons every third element of the packed
+      prefix in the slot: the receiver unpacks the NaNs into its ghost
+      layers, the sender's own fields stay clean.
+    * ``msg_delay`` hands the notify to a side thread that delivers it
+      *delay* seconds later, so the sender returns at once.  Delivery
+      stays in order: the next :meth:`slot` or :meth:`notify` of the
+      channel first waits for the late notify (MPI's non-overtaking
+      rule).  Phi and mu rounds share a channel, so an overtaking notify
+      would break the receiver's sequence check — and until the late
+      notify went out, the channel's current slot is still the one it
+      publishes.
+    """
+
+    def __init__(self, channel, faulty: "FaultyComm") -> None:
+        self._channel = channel
+        self._faulty = faulty
+        self._late: threading.Thread | None = None
+
+    def wait_late(self) -> None:
+        """Block until a delayed notify of this channel was delivered."""
+        if self._late is not None:
+            self._late.join()
+            self._late = None
+
+    def slot(self) -> np.ndarray:
+        self.wait_late()
+        return self._channel.slot()
+
+    def notify(self, used: int | None = None) -> None:
+        self.wait_late()
+        faulty = self._faulty
+        plan, step, rank = faulty._plan, faulty.step, faulty.rank
+        if plan.fires("msg_drop", step=step, rank=rank):
+            raise InjectedFault("msg_drop", step=step, rank=rank)
+        if plan.fires("msg_corrupt", step=step, rank=rank):
+            n = self._channel.capacity if used is None else int(used)
+            self._channel.slot()[:n:3] = np.nan
+        fault = plan.fires("msg_delay", step=step, rank=rank)
+        if fault is None:
+            self._channel.notify(used)
+            return
+        self._late = threading.Thread(
+            target=_late_notify, args=(self._channel, used, fault.delay),
+            daemon=True,
+        )
+        self._late.start()
+
+
 class FaultyComm:
     """Communicator proxy that injects message faults on outgoing traffic.
 
@@ -226,15 +293,18 @@ class FaultyComm:
     :attr:`step` once per time step so message faults are matched against
     the simulation clock.  Every operation with an outgoing payload is
     intercepted — blocking and non-blocking point-to-point (``send`` /
-    ``isend`` / ``sendrecv``) *and* the rooted collectives — so an
-    injected ``msg_drop`` / ``msg_corrupt`` / ``msg_delay`` hits whichever
-    path the exchange code actually takes.  Receives pass through.
+    ``isend`` / ``sendrecv``), the rooted collectives *and* the notifies
+    of the halo channels it registers — so an injected ``msg_drop`` /
+    ``msg_corrupt`` / ``msg_delay`` hits whichever path the code
+    actually takes; ghost exchange takes the halo channels.  Receives
+    pass through.
     """
 
     def __init__(self, comm, plan: FaultPlan):
         self._comm = comm
         self._plan = plan
         self._step = 0
+        self._halo_sends: list[_FaultyHaloSend] = []
         # Process backend: hand the plan to the transport so it can
         # fire receive-side faults (ack_drop) the proxy never sees.
         transport = getattr(comm, "_transport", None)
@@ -338,6 +408,28 @@ class FaultyComm:
         if self._delayed_send(sendobj, dest, sendtag):
             return self._comm.recv(source, recvtag)
         return self._comm.sendrecv(sendobj, dest, source, sendtag, recvtag)
+
+    # -- halo channels --------------------------------------------------
+
+    def register_halo(self, dest: int, channel_id: int, capacity: int,
+                      dtype=np.float64) -> _FaultyHaloSend:
+        """Sender endpoint of a halo channel whose notifies carry the
+        plan's message faults (see :class:`_FaultyHaloSend`)."""
+        channel = _FaultyHaloSend(
+            self._comm.register_halo(dest, channel_id, capacity, dtype), self
+        )
+        self._halo_sends.append(channel)
+        return channel
+
+    def drain(self) -> None:
+        """Wait until every delayed halo notify was delivered.
+
+        The ``MPI_Finalize`` rule: a rank must not return, and so close
+        its transport, while one of its ghost rounds is still on the way
+        to a peer that waits for it.
+        """
+        for channel in self._halo_sends:
+            channel.wait_late()
 
     # -- collectives (fault applies to this rank's contribution) --------
 

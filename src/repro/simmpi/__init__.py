@@ -23,7 +23,6 @@ Main entry points:
   :class:`~repro.simmpi.comm.RankFailure`; survivors
   :meth:`~repro.simmpi.comm.Communicator.shrink` and continue),
 * :class:`repro.simmpi.comm.Communicator` — send/recv/collectives,
-* :class:`repro.simmpi.cart.CartComm` — cartesian topology helper,
 * :mod:`repro.simmpi.reduce_tree` — the log2(P) pairwise reduction
   schedule used by the mesh output pipeline.
 """
@@ -38,7 +37,6 @@ from repro.simmpi.comm import (
 from repro.simmpi.deadline import Deadline, DeadlinePolicy
 from repro.simmpi.liveness import WatchdogConfig
 from repro.simmpi.runtime import run_spmd, run_spmd_elastic
-from repro.simmpi.cart import CartComm
 
 BACKENDS = ("thread", "process")
 
@@ -54,5 +52,4 @@ __all__ = [
     "WatchdogConfig",
     "run_spmd",
     "run_spmd_elastic",
-    "CartComm",
 ]

@@ -432,7 +432,7 @@ class HaloRecvChannel:
             raise RuntimeError(
                 f"halo channel {self.channel_id} from rank {self.source}: "
                 f"expected sequence {self.seq}, got {seq} — exchange rounds "
-                "out of lockstep (registered and legacy paths mixed?)"
+                "out of lockstep (a round skipped or reordered)"
             )
         self.seq += 1
         return self._slots[seq % 2]
@@ -507,30 +507,6 @@ class Communicator:
         return Request(
             _ready=False, _fn=lambda: self.recv(source, tag)
         )
-
-    def irecv_into(self, out: np.ndarray, source: int = ANY_SOURCE,
-                   tag: int = ANY_TAG) -> Request:
-        """Non-blocking receive completing directly into the view *out*.
-
-        The thread backend already snapshots payloads at send time, so
-        this is the same single copy as ``out[...] = irecv().wait()`` —
-        the API exists so exchange code can use one completion style on
-        both backends; on the process backend it is what removes the
-        receive-side double copy of shared-memory payloads.
-        """
-
-        def complete():
-            payload = self.recv(source, tag)
-            if (isinstance(payload, np.ndarray)
-                    and payload.shape != out.shape):
-                raise ValueError(
-                    f"irecv_into shape mismatch: message {payload.shape}"
-                    f" vs destination {out.shape}"
-                )
-            out[...] = payload
-            return out
-
-        return Request(_ready=False, _fn=complete)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         """True when a matching message is already queued."""

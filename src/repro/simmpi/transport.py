@@ -4,11 +4,12 @@ Threads share one GIL, so the thread backend of :mod:`repro.simmpi` can
 *model* — but never *measure* — intranode parallel speedup.  This module
 provides the measured path: one OS process per rank, tiny control
 messages over per-pair pipes, and bulk array payloads staged through
-POSIX shared memory (:mod:`multiprocessing.shared_memory`), so a
-ghost-slab transfer between co-resident ranks is two ``memcpy`` calls
-instead of a pickle round-trip through a pipe.  The same mechanism backs
+POSIX shared memory (:mod:`multiprocessing.shared_memory`), so a large
+transfer between co-resident ranks is two ``memcpy`` calls instead of a
+pickle round-trip through a pipe.  The same mechanism backs
 :class:`~repro.grid.field.Field` buffers via
-:meth:`ProcessCommunicator.field_allocator`.
+:meth:`ProcessCommunicator.field_allocator`, and the persistent halo
+channels ghost exchange runs on (:class:`_ProcessHaloSend`).
 
 Semantics mirror the thread backend's :class:`~repro.simmpi.comm.
 Communicator`: ``(source, tag)`` matching with ``ANY_SOURCE`` /
@@ -23,9 +24,9 @@ a sender that exhausts them blocks, *making progress on its own incoming
 traffic* (acks, plus messages completing posted receives) while it
 waits.  That is the eager/rendezvous protocol of a real MPI: symmetric
 bulk exchanges are only guaranteed deadlock-free when receives are
-posted before sends, which is exactly Algorithm 2's
-post-receives-first discipline (and what
-:mod:`repro.distributed.exchange` does).
+posted before sends.  Ghost exchange does not depend on that rule: its
+halo-channel notifies are tiny and never staged, so they never wait for
+a channel slot.
 """
 
 from __future__ import annotations
@@ -163,21 +164,15 @@ class _PostedRecv:
     The transport completes posted receives *during send-side blocking*
     as well as in ``recv``/``wait`` — that asymmetry is what makes
     post-receives-first exchanges deadlock-free under bounded channels.
-
-    *into*, when set, is a destination array view: the payload is
-    unpacked straight into it at dispatch time (one copy from the staged
-    segment into e.g. a ghost slice) instead of being materialized as a
-    standalone array the caller copies a second time.
     """
 
-    __slots__ = ("source", "tag", "done", "payload", "into")
+    __slots__ = ("source", "tag", "done", "payload")
 
-    def __init__(self, source: int, tag: int, into=None) -> None:
+    def __init__(self, source: int, tag: int) -> None:
         self.source = source
         self.tag = tag
         self.done = False
         self.payload = None
-        self.into = into
 
 
 class ProcessRequest:
@@ -393,12 +388,14 @@ class RankTransport:
         try:
             with self._post_lock:
                 self._writers[dest].send(msg)
+                # counted under the lock: delayed-delivery fault threads
+                # post concurrently with the rank's own thread
+                self.ctrl_sent += 1
         except (BrokenPipeError, OSError):
             # Peer process is gone; surface as a secondary failure so the
             # launcher's primary-error selection stays meaningful.
             self._check_failed()
             raise RemoteError(f"rank {dest} is unreachable") from None
-        self.ctrl_sent += 1
 
     def _try_stage(self, dest: int, nbytes: int):
         """:meth:`_stage`, degrading to ``None`` when the pool is gone."""
@@ -495,23 +492,10 @@ class RankTransport:
         """
         return self._post_recv(_PostedRecv(source, tag))
 
-    def irecv_into(self, out: np.ndarray, source: int,
-                   tag: int) -> ProcessRequest:
-        """Posted receive that unpacks straight into the view *out*.
-
-        For staged payloads this is the single-copy completion: the
-        shared segment is copied once, directly into *out* (typically a
-        ghost slice), instead of being materialized via ``.copy()`` and
-        then copied a second time by the caller's slab assignment — and
-        the ack goes back at dispatch time, freeing the sender's channel
-        slot as early as possible.
-        """
-        return self._post_recv(_PostedRecv(source, tag, into=out))
-
     def _post_recv(self, posted: _PostedRecv) -> ProcessRequest:
         msg = self._take_held(posted.source, posted.tag)
         if msg is not None:
-            posted.payload = self._fetch(msg, into=posted.into)
+            posted.payload = self._fetch(msg)
             posted.done = True
             self.stats.recvs += 1
         else:
@@ -607,58 +591,29 @@ class RankTransport:
         for posted in self._posted:
             if not posted.done and _matches(posted.source, posted.tag,
                                             source, tag):
-                posted.payload = self._fetch(msg, into=posted.into)
+                posted.payload = self._fetch(msg)
                 posted.done = True
                 self._posted.remove(posted)
                 self.stats.recvs += 1
                 return
         self._held.append(msg)
 
-    def _fetch(self, msg: tuple, into=None):
-        """Materialize a payload; ack staged segments back to the sender.
-
-        With *into* set, the payload lands in that view directly (the
-        ``irecv_into`` single-copy path) and *into* is returned.
-        """
+    def _fetch(self, msg: tuple):
+        """Materialize a payload; ack staged segments back to the sender."""
         kind = msg[0]
         if kind == "inl":
-            if into is not None:
-                if msg[3].shape != into.shape:
-                    raise ValueError(
-                        f"irecv_into shape mismatch: message "
-                        f"{msg[3].shape} vs destination {into.shape}"
-                    )
-                np.copyto(into, msg[3])
-                return into
             return msg[3]
         if kind == "inlb":
-            payload = pickle.loads(msg[3])
-            if into is not None:
-                into[...] = payload
-                return into
-            return payload
+            return pickle.loads(msg[3])
         if kind == "shm":
             _, source, _tag, seq, name, shape, dtypestr = msg
             shm = self._attach(name)
-            view = np.ndarray(shape, dtype=np.dtype(dtypestr),
-                              buffer=shm.buf)
-            if into is not None:
-                if tuple(shape) != tuple(into.shape):
-                    raise ValueError(
-                        f"irecv_into shape mismatch: message {tuple(shape)}"
-                        f" vs destination {tuple(into.shape)}"
-                    )
-                np.copyto(into, view)
-                payload = into
-            else:
-                payload = view.copy()
+            payload = np.ndarray(shape, dtype=np.dtype(dtypestr),
+                                 buffer=shm.buf).copy()
         else:  # "shb"
             _, source, _tag, seq, name, nbytes = msg
             shm = self._attach(name)
             payload = pickle.loads(bytes(shm.buf[:nbytes]))
-            if into is not None:
-                into[...] = payload
-                payload = into
         if self.fault_plan is not None and self.fault_plan.fires(
             "ack_drop", step=self.fault_step, rank=self.rank
         ) is not None:
@@ -930,7 +885,7 @@ class _ProcessHaloRecv(HaloRecvChannel):
             raise RuntimeError(
                 f"halo channel {self.channel_id} from rank {self.source}: "
                 f"expected sequence {self.seq}, got {seq} — exchange rounds "
-                "out of lockstep (registered and legacy paths mixed?)"
+                "out of lockstep (a round skipped or reordered)"
             )
         self.seq += 1
         slot = self._slots[seq % 2]
@@ -962,11 +917,6 @@ class ProcessCommunicator(Communicator):
     def irecv(self, source: int = ANY_SOURCE,
               tag: int = ANY_TAG) -> ProcessRequest:
         return self._transport.irecv(source, tag)
-
-    def irecv_into(self, out: np.ndarray, source: int = ANY_SOURCE,
-                   tag: int = ANY_TAG) -> ProcessRequest:
-        """Posted receive completing in one copy into the view *out*."""
-        return self._transport.irecv_into(out, source, tag)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> bool:
         return self._transport.probe(source, tag)

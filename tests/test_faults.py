@@ -10,7 +10,9 @@ import numpy as np
 import pytest
 
 from repro.core.nucleation import smooth_phase_field, voronoi_initial_condition
-from repro.distributed import DistributedSimulation
+from repro.distributed import DistributedSimulation, exchange_block_ghosts
+from repro.grid.blockforest import BlockForest
+from repro.grid.boundary import BoundarySpec, Neumann
 from repro.resilience import (
     FAULT_KINDS,
     CheckpointStore,
@@ -123,6 +125,9 @@ class TestRecoveryMatrix:
         assert result.restarts >= 1
         assert result.steps == STEPS
         assert len(result.faults_fired) == len(faults)
+        assert {f.kind for f, _, _ in plan.fired()} == {
+            f.kind for f in faults
+        }
         # recovered run matches the unfaulted one within float32
         # restart rounding
         np.testing.assert_allclose(result.phi, reference.phi, atol=1e-5)
@@ -148,18 +153,57 @@ class TestRecoveryMatrix:
 
     def test_delayed_message_is_harmless(self, setup, tmp_path):
         dsim, phi0, mu0, reference = setup
-        plan = FaultPlan([Fault(kind="msg_delay", step=4, rank=0)], seed=SEED)
+        _assert_delay_harmless(dsim, phi0, mu0, reference, tmp_path)
+
+    def test_delayed_message_is_harmless_on_processes(self, setup,
+                                                      tmp_path):
+        dsim, phi0, mu0, reference = setup
+        _assert_delay_harmless(_on_processes(dsim), phi0, mu0, reference,
+                               tmp_path)
+
+    def test_corrupted_ghost_recovers_on_processes(self, setup, tmp_path):
+        """The corrupted-ghost case on process ranks, where production
+        campaigns run: the fault fires on rank 0's first ghost notify
+        of step 4, the receiver's guard trips, the campaign restarts."""
+        dsim, phi0, mu0, reference = setup
+        plan = FaultPlan([Fault(kind="msg_corrupt", step=4, rank=0)],
+                         seed=SEED)
         print(plan.describe())
-        store = CheckpointStore(tmp_path, keep=3)
+        store = CheckpointStore(tmp_path, keep=3, fault_plan=plan)
         result = run_campaign(
-            dsim, STEPS, phi0, mu0,
+            _on_processes(dsim), STEPS, phi0, mu0,
             store=store, checkpoint_every=3, fault_plan=plan,
         )
-        assert result.restarts == 0
-        np.testing.assert_array_equal(result.phi, reference.phi)
-        np.testing.assert_array_equal(result.mu, reference.mu)
+        assert result.restarts >= 1
+        assert [(f.kind, s, r) for f, s, r in plan.fired()] == [
+            ("msg_corrupt", 4, 0)
+        ]
+        np.testing.assert_allclose(result.phi, reference.phi, atol=1e-5)
+        np.testing.assert_allclose(result.mu, reference.mu, atol=1e-5)
 
-    def test_restart_budget_exhaustion_raises_structured(self, setup, tmp_path):
+    def test_fault_planned_run_registers_halo_channels(self, setup,
+                                                       tmp_path):
+        """A fault plan no longer switches the ghost transport: the run
+        registers the same channels as an unfaulted one."""
+        import json
+
+        from repro.telemetry import RunTelemetry
+
+        dsim, phi0, mu0, reference = setup
+        res = dsim.run(
+            2, phi0, mu0, fault_plan=FaultPlan([], seed=SEED),
+            telemetry=RunTelemetry(directory=tmp_path, run_id="planned"),
+        )
+        merged = (tmp_path / "events-merged.jsonl").read_text()
+        registered = [
+            json.loads(line) for line in merged.splitlines()
+            if json.loads(line)["kind"] == "halo_channels_registered"
+        ]
+        assert len(registered) == 2  # one per rank
+        assert res.counters["halo_messages"] > 0
+
+    def test_restart_budget_exhaustion_raises_structured(self, setup,
+                                                          tmp_path):
         dsim, phi0, mu0, _ = setup
         # more kills than the budget allows
         plan = FaultPlan(
@@ -175,6 +219,31 @@ class TestRecoveryMatrix:
                 fault_plan=plan, max_restarts=2,
             )
         assert info.value.attempts == 2
+
+
+def _on_processes(dsim):
+    return DistributedSimulation(
+        dsim.shape, dsim.forest.blocks_per_axis, system=dsim.system,
+        kernel=dsim.kernel, backend="process",
+    )
+
+
+def _assert_delay_harmless(dsim, phi0, mu0, reference, tmp_path):
+    """A late ghost round changes nothing: no restart, bitwise result,
+    and the delay really fired (on rank 0's first notify of step 4)."""
+    plan = FaultPlan([Fault(kind="msg_delay", step=4, rank=0)], seed=SEED)
+    print(plan.describe())
+    store = CheckpointStore(tmp_path, keep=3)
+    result = run_campaign(
+        dsim, STEPS, phi0, mu0,
+        store=store, checkpoint_every=3, fault_plan=plan,
+    )
+    assert result.restarts == 0
+    assert [(f.kind, s, r) for f, s, r in plan.fired()] == [
+        ("msg_delay", 4, 0)
+    ]
+    np.testing.assert_array_equal(result.phi, reference.phi)
+    np.testing.assert_array_equal(result.mu, reference.mu)
 
 
 class TestSpmdRetry:
@@ -308,6 +377,90 @@ class TestFaultyComm:
         gathered = results[0]
         assert not np.isnan(gathered[0]).any()
         assert np.isnan(gathered[1]).any()
+
+
+def _channel_pair(comm, plan):
+    """A FaultyComm and its send/receive halo channel towards the peer."""
+    fc = FaultyComm(comm, plan)
+    peer = 1 - comm.rank
+    return fc, fc.register_halo(peer, 0, 6), fc.accept_halo(peer, 0)
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+class TestFaultyHaloChannel:
+    """Message faults act on halo-channel notifies, the ghost transport."""
+
+    def test_drop_raises_at_notify(self, backend):
+        plan = FaultPlan([Fault(kind="msg_drop", step=0, rank=0)], seed=SEED)
+
+        def fn(comm, plan):
+            _fc, send, recv = _channel_pair(comm, plan)
+            if comm.rank == 0:
+                send.slot()[:] = 1.0
+                send.notify(6)
+                return None
+            return recv.wait().copy()
+
+        with pytest.raises(InjectedFault, match="msg_drop"):
+            run_spmd(2, fn, plan, backend=backend)
+        assert [f.kind for f, _, _ in plan.fired()] == ["msg_drop"]
+
+    def test_corrupt_reaches_receiver_ghosts_only(self, backend):
+        """Every third packed element of rank 0's first ghost round
+        arrives as NaN in rank 1's ghost slab; rank 0's own field and
+        rank 1's interior stay finite."""
+        plan = FaultPlan([Fault(kind="msg_corrupt", step=0, rank=0)],
+                         seed=SEED)
+        forest = BlockForest((8, 6), (2, 1), (True, False))
+        spec = BoundarySpec.directional(2, bottom=Neumann(), top=Neumann())
+
+        def fn(comm, plan):
+            arr = np.zeros((2, 6, 8))
+            arr[:, 1:-1, 1:-1] = 1.0 + comm.rank
+            exchange_block_ghosts(FaultyComm(comm, plan), forest, [0, 1],
+                                  {comm.rank: arr}, 2, spec)
+            return arr
+
+        clean, hit = run_spmd(2, fn, plan, backend=backend)
+        assert np.isfinite(clean).all()
+        assert np.isfinite(hit[:, 1:-1, 1:-1]).all()
+        # the two x-ghost slabs, packed over the full ghosted z extent
+        corrupt = [s for s in (hit[:, 0, :], hit[:, -1, :])
+                   if np.isnan(s).any()]
+        assert len(corrupt) == 1
+        pattern = (np.arange(corrupt[0].size) % 3 == 0).reshape(
+            corrupt[0].shape
+        )
+        # the z boundary handler later rewrites the slab's two corners
+        np.testing.assert_array_equal(np.isnan(corrupt[0])[:, 1:-1],
+                                      pattern[:, 1:-1])
+        assert [f.kind for f, _, _ in plan.fired()] == ["msg_corrupt"]
+
+    def test_delayed_notify_stays_in_order(self, backend):
+        """A late notify does not stall its sender, and a second notify
+        issued right after it on the same channel does not overtake it
+        (the receiver's sequence check would raise "lockstep")."""
+        plan = FaultPlan([Fault(kind="msg_delay", step=0, rank=0,
+                                delay=0.4)], seed=SEED)
+
+        def fn(comm, plan):
+            fc, send, recv = _channel_pair(comm, plan)
+            if comm.rank == 0:
+                t0 = _time.monotonic()
+                send.slot()[:] = 1.0
+                send.notify(6)
+                returned_after = _time.monotonic() - t0
+                send.slot()[:] = 2.0
+                send.notify(6)
+                fc.drain()
+                return returned_after
+            return recv.wait().copy(), recv.wait().copy()
+
+        lag, (first, second) = run_spmd(2, fn, plan, backend=backend)
+        assert lag < 0.3  # the first notify returned without the delay
+        np.testing.assert_array_equal(first, np.full(6, 1.0))
+        np.testing.assert_array_equal(second, np.full(6, 2.0))
+        assert [f.kind for f, _, _ in plan.fired()] == ["msg_delay"]
 
 
 class TestElasticCampaign:
